@@ -191,11 +191,7 @@ def suite_pentagon(max_k):
     for k in range(5, max_k + 1):
         want_ce = ct.g_pn(k)
         want_con = 5 * 2 ** (k - 5)
-        for i in range(1, k - 3):
-            j = k - 3 - i
-            if j < 1:
-                continue
-            lat = lt.glued_sum(lt.chain(i), lt.glued_sum(lt.named("N5"), lt.chain(j)))
+        for i, lat in enumerate(enum_mod.glued_n5_family(k), start=1):
             con = cg.all_congruences(lat)
             ce = en.congruence_energy(con)
             if ce != want_ce or len(con) != want_con:

@@ -92,9 +92,18 @@ def test_enumerate_emit_round_trip(capsys):
 
 
 def test_enumerate_budget_exit(capsys):
-    code, out, err = run(capsys, ["enumerate", "--n", "12"])
-    assert code == cli.EXIT_BUDGET
-    assert err.startswith("budget-exceeded:")
+    for n in ("10", "12"):
+        code, out, err = run(capsys, ["enumerate", "--n", n])
+        assert code == cli.EXIT_BUDGET
+        assert err.startswith("budget-exceeded:")
+
+
+@pytest.mark.parametrize("verb", ["enumerate", "oracle"])
+def test_order_zero_is_input_error(capsys, verb):
+    code, out, err = run(capsys, [verb, "--n", "0"])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input-error:")
 
 
 def test_table_json(capsys):

@@ -91,10 +91,27 @@ def test_glued_n5_family_members():
         assert en.congruence_energy(con) == ct.g_pn(7)
 
 
-def test_shape_routes_agree_on_everything_small():
-    for n in range(4, 7):
+def test_structural_shapes_match_family_isomorphism_oracle():
+    for n in range(1, 9):
+        b4_family = em.glued_b4_family(n)
+        n5_family = em.glued_n5_family(n)
         for lat in em.all_lattices(n):
-            em.is_glued_b4_shape(lat)  # raises if the two routes disagree
+            glued_b4 = em.is_glued_b4_shape(lat)
+            assert glued_b4 == any(lt.are_isomorphic(lat, k) for k in b4_family)
+            assert glued_b4 == (lt.count_two_element_antichains(lat) == 1)
+            glued_n5 = em.is_glued_n5_shape(lat)
+            assert glued_n5 == any(lt.are_isomorphic(lat, k) for k in n5_family)
+
+
+def test_structural_shapes_beyond_the_isomorphism_budget():
+    n = lt.ISO_BUDGET + 2
+    b4_family = em.glued_b4_family(n)
+    n5_family = em.glued_n5_family(n)
+    assert len(b4_family) == n - 3 and len(n5_family) == n - 4
+    assert all(em.is_glued_b4_shape(lat) for lat in b4_family)
+    assert not any(em.is_glued_n5_shape(lat) for lat in b4_family)
+    assert all(em.is_glued_n5_shape(lat) for lat in n5_family)
+    assert not any(em.is_glued_b4_shape(lat) for lat in n5_family)
 
 
 def test_extremal_report_n4():
