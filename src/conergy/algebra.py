@@ -2,7 +2,10 @@
 
 Congruence generation runs a fixpoint over unary translations (all but one
 argument frozen to constants) alternated with transitive re-closure; the
-full congruence lattice is the join-closure of the principal congruences.
+full congruence lattice is the join-closure of the principal congruences,
+built by ``congruence.join_closure`` under its CON_BUDGET.  ``ce_bound_check``
+tests distributivity of Con(A) for real, since for an algebra it is a
+hypothesis, not a theorem.
 """
 
 import itertools
@@ -117,26 +120,8 @@ def all_congruences_alg(alg):
     n = alg.n
     if n > ALG_BUDGET:
         raise BudgetExceeded(f"all_congruences_alg limited to n <= {ALG_BUDGET}")
-    jis = []
-    seen = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            p = congruence_closure(alg, [(a, b)])
-            if p not in seen:
-                seen.add(p)
-                jis.append(p)
-    members = {pt.bottom(n), *jis}
-    frontier = list(jis)
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for g in jis:
-                h = pt.join(f, g)
-                if h not in members:
-                    members.add(h)
-                    fresh.append(h)
-        frontier = fresh
-    return cg.CongruenceLattice(n, tuple(sorted(members, key=lambda p: (pt.heq(p), p.rep))))
+    jis = [congruence_closure(alg, [(a, b)]) for a in range(n) for b in range(a + 1, n)]
+    return cg.join_closure(n, jis)
 
 
 def lattice_as_algebra(lat):

@@ -16,7 +16,7 @@ from . import energy as en
 from . import enumeration as enum_mod
 from . import lattice as lt
 from . import partition as pt
-from .errors import BudgetExceeded, ConergyError
+from .errors import BudgetExceeded, ConergyError, MalformedInput
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -46,13 +46,42 @@ def parse_builder(spec):
     return _build_one(spec)
 
 
+def _ints(value, what, length=None):
+    if (
+        not isinstance(value, list)
+        or any(type(v) is not int for v in value)
+        or length not in (None, len(value))
+    ):
+        count = f"{length} integers" if length else "integers"
+        raise MalformedInput(f"{what} must be a list of {count}")
+    return tuple(value)
+
+
+def load_json(text, what):
+    """The one input boundary for JSON: a lattice file {"n": int, "covers":
+    [[int, int], ...]} gives (n, covers), a --by rep array [int, ...] gives
+    a tuple.  Anything else raises MalformedInput."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{what} is not JSON: {exc}") from None
+    if what == "--by":
+        return _ints(doc, what)
+    if (
+        not isinstance(doc, dict)
+        or type(doc.get("n")) is not int
+        or not isinstance(doc.get("covers"), list)
+    ):
+        raise MalformedInput(f'{what} must be an object with integer "n" and list "covers"')
+    return doc["n"], [_ints(c, "each cover", 2) for c in doc["covers"]]
+
+
 def load_lattice(args):
     if getattr(args, "builder", None):
         return parse_builder(args.builder)
     if getattr(args, "input", None):
         with open(args.input) as fh:
-            doc = json.load(fh)
-        return lt.from_covers(doc["n"], [tuple(c) for c in doc["covers"]])
+            return lt.from_covers(*load_json(fh.read(), args.input))
     raise ValueError("provide an input file or --builder")
 
 
@@ -110,8 +139,7 @@ def cmd_conlat(args):
 
 def cmd_quotient(args):
     lat = load_lattice(args)
-    rep = tuple(json.loads(args.by))
-    theta = pt.Partition(lat.n, rep)
+    theta = pt.Partition(lat.n, load_json(args.by, "--by"))
     q, block_map = cg.quotient(lat, theta)
     _emit(
         {"n": q.n, "covers": [list(c) for c in q.covers], "block_map": list(block_map)},
@@ -347,7 +375,7 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget-exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConergyError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ConergyError, ValueError, OSError) as exc:
         print(f"input-error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

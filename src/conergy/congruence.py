@@ -1,10 +1,18 @@
 """Congruences of finite lattices.
 
 The congruence checker verifies that blocks are intervals and that the two
-quadrilateral closure conditions (one and its dual) hold.  Principal congruences of covering pairs come from projectivity
-reachability over prime intervals; the full congruence lattice is the
-join-closure of those join-irreducibles.  A brute-force filter over all
-partitions exists as a cross-check oracle.
+quadrilateral closure conditions (one and its dual) hold.  Principal
+congruences of covering pairs come from projectivity reachability over
+prime intervals; the full congruence lattice is the join-closure of those
+join-irreducibles.  ``join_closure`` is the one closure loop, shared with
+``algebra.all_congruences_alg``, and it stops with BudgetExceeded once Con
+passes CON_BUDGET members.  A brute-force filter over all partitions exists
+as a cross-check oracle.
+
+Distributivity of a congruence lattice is decided by Birkhoff's
+forbidden-sublattice scan (no pentagon, no diamond); booleanness of a
+distributive one by counting, since a finite distributive lattice is
+boolean iff it has 2^(number of atoms) elements.
 """
 
 from dataclasses import dataclass
@@ -12,6 +20,7 @@ from dataclasses import dataclass
 from . import lattice as lt
 from . import partition as pt
 from .errors import (
+    BudgetExceeded,
     NotACongruence,
     NotAnAtom,
     NotDistributive,
@@ -19,6 +28,11 @@ from .errors import (
     OutOfRange,
     SizeMismatch,
 )
+
+# Con(chain 15), with 2^14 members, is the largest allowed.  Every suite,
+# test and benchmark job stays far below: the largest is a unary algebra
+# with 609 congruences.
+CON_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,7 @@ class CongruenceLattice:
         }
 
 
-def _sorted_members(n, members):
+def _sorted_members(members):
     return tuple(sorted(set(members), key=lambda p: (pt.heq(p), p.rep)))
 
 
@@ -167,18 +181,13 @@ def principal_congruence(lat, a, b, prefer_high=False):
     return result
 
 
-def all_congruences(lat):
-    """Con(L) as join-closure of the prime-interval principal congruences."""
-    n = lat.n
-    jis = []
-    seen = set()
-    for a, b in lat.covers:
-        p = _principal_prime(lat, a, b)
-        if p not in seen:
-            seen.add(p)
-            jis.append(p)
+def join_closure(n, generators):
+    """The congruence lattice on n points generated by joins of the given
+    congruences (the bottom included); raises BudgetExceeded as soon as it
+    has more than CON_BUDGET members."""
+    jis = list(dict.fromkeys(generators))
     members = {pt.bottom(n), *jis}
-    frontier = list(jis)
+    frontier = jis
     while frontier:
         fresh = []
         for f in frontier:
@@ -187,14 +196,23 @@ def all_congruences(lat):
                 if h not in members:
                     members.add(h)
                     fresh.append(h)
+                    if len(members) > CON_BUDGET:
+                        raise BudgetExceeded(
+                            f"congruence lattice has more than {CON_BUDGET} members"
+                        )
         frontier = fresh
-    return CongruenceLattice(n, _sorted_members(n, members))
+    return CongruenceLattice(n, _sorted_members(members))
+
+
+def all_congruences(lat):
+    """Con(L) as join-closure of the prime-interval principal congruences."""
+    return join_closure(lat.n, [_principal_prime(lat, a, b) for a, b in lat.covers])
 
 
 def brute_force_congruences(lat):
     """Oracle route: filter every partition through the checker."""
     members = [p for p in pt.all_partitions(lat.n) if is_congruence(lat, p)]
-    return CongruenceLattice(lat.n, _sorted_members(lat.n, members))
+    return CongruenceLattice(lat.n, _sorted_members(members))
 
 
 def quotient(lat, theta):
@@ -224,10 +242,6 @@ def quotient(lat, theta):
         for x in block:
             block_of[x] = i
     return q, tuple(block_of)
-
-
-def atoms(c):
-    return c.atoms()
 
 
 def upset_split(c, alpha):
@@ -272,22 +286,12 @@ def _member_ops(c):
     return join_t, meet_t
 
 
-TRIPLE_CHECK_LIMIT = 512
-
-
 def is_distributive(c):
-    """Exhaustive triple identity for small Con; forbidden-sublattice scan
-    (pentagon/diamond patterns) above the triple budget."""
+    """Birkhoff: distributive iff Con has no pentagon and no diamond
+    sublattice."""
     join_t, meet_t = _member_ops(c)
     k = len(c.members)
-    if k <= TRIPLE_CHECK_LIMIT:
-        for a in range(k):
-            for b in range(k):
-                for d in range(k):
-                    if meet_t[a][join_t[b][d]] != join_t[meet_t[a][b]][meet_t[a][d]]:
-                        return False
-        return True
-    # pentagon scan: a < b with some c giving equal joins and meets
+    # pentagon scan: a < b with some d giving equal joins and meets
     for a in range(k):
         for b in range(k):
             if a == b or meet_t[a][b] != a:
@@ -314,31 +318,7 @@ def is_distributive(c):
 
 
 def is_boolean(c):
-    """Boolean test, two ways that must agree: distributive + complemented,
-    and distributive + the atom-join map bijective for every atom."""
-    dist = is_distributive(c)
-    if not dist:
-        return False
-    ats = c.atoms()
-    # route (a): complemented.  In a distributive lattice a complement of m,
-    # if any, lies above every atom not below m; boolean lattices are
-    # atomistic, so the atom-join candidate test is exact.
-    by_complements = len(c.members) == 2 ** len(ats)
-    if by_complements:
-        for m in c.members:
-            below = [a for a in ats if pt.leq(a, m)]
-            rest = [a for a in ats if not pt.leq(a, m)]
-            cand = c.bottom
-            for a in rest:
-                cand = pt.join(cand, a)
-            rebuilt = c.bottom
-            for a in below:
-                rebuilt = pt.join(rebuilt, a)
-            if rebuilt != m or pt.meet(m, cand) != c.bottom or pt.join(m, cand) != c.top:
-                by_complements = False
-                break
-    # route (b): every atom-join map is a bijection
-    by_atom_maps = all(join_with_atom_map(c, a).bijective for a in ats)
-    if by_complements != by_atom_maps:
-        raise AssertionError("boolean test routes disagree; checker defect")
-    return by_complements
+    """Distributive with 2^(number of atoms) members.  A finite distributive
+    lattice is the down-set lattice of its join-irreducibles, which has
+    exactly 2^(atoms) members iff every join-irreducible is an atom."""
+    return is_distributive(c) and len(c.members) == 2 ** len(c.atoms())

@@ -17,6 +17,10 @@ class RedundantCover(ConergyError):
     """An input cover pair is implied by transitivity (not a covering pair)."""
 
 
+class MalformedInput(ConergyError):
+    """An input document does not have the expected JSON shape."""
+
+
 class OutOfRange(ConergyError):
     """An element index is outside the universe 0..n-1."""
 

@@ -94,34 +94,9 @@ def meet(p, q):
     return from_labels(list(zip(p.rep, q.rep)))
 
 
-def join(p, q):
-    """Transitive closure of the union, via union-find."""
-    if p.n != q.n:
-        raise SizeMismatch(f"universe sizes differ: {p.n} vs {q.n}")
-    parent = list(range(p.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    for i in range(p.n):
-        union(i, p.rep[i])
-        union(i, q.rep[i])
-    return from_labels([find(i) for i in range(p.n)])
-
-
-def join_pairs(n, pairs):
-    """Least equivalence containing all the given pairs."""
-    parent = list(range(n))
+def _union_find(parent, pairs):
+    """Least equivalence containing the forest ``parent`` (each element
+    pointing at a smaller one or at itself) and the pairs, all in range."""
 
     def find(x):
         while parent[x] != x:
@@ -130,12 +105,27 @@ def join_pairs(n, pairs):
         return x
 
     for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    return from_labels([find(i) for i in range(n)])
+    return from_labels([find(i) for i in range(len(parent))])
+
+
+def join(p, q):
+    """Transitive closure of the union: p's rep array is already a forest,
+    so only q's non-trivial pairs are added."""
+    if p.n != q.n:
+        raise SizeMismatch(f"universe sizes differ: {p.n} vs {q.n}")
+    return _union_find(list(p.rep), [(i, r) for i, r in enumerate(q.rep) if r != i])
+
+
+def join_pairs(n, pairs):
+    """Least equivalence containing all the given pairs."""
+    pairs = list(pairs)
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
+    return _union_find(list(range(n)), pairs)
 
 
 def all_partitions(n):

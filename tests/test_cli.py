@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conergy import cli
 from conergy import lattice as lt
@@ -98,6 +104,14 @@ def test_enumerate_budget_exit(capsys):
         assert err.startswith("budget-exceeded:")
 
 
+def test_con_budget_exit(capsys):
+    # Con(chain 22) has 2^21 members, past the closure's budget
+    code, out, err = run(capsys, ["energy", "--builder", "chain:22"])
+    assert code == cli.EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("budget-exceeded:")
+
+
 @pytest.mark.parametrize("verb", ["enumerate", "oracle"])
 def test_order_zero_is_input_error(capsys, verb):
     code, out, err = run(capsys, [verb, "--n", "0"])
@@ -155,9 +169,65 @@ def test_bad_input_file(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
     code, out, err = run(capsys, ["energy", "--builder", "chain:zero"])
     assert code == cli.EXIT_INPUT
+    for doc in ('{"n": "3", "covers": []}', '{"n": 3, "covers": 5}', "[[0, 1]]"):
+        path.write_text(doc)
+        code, out, err = run(capsys, ["energy", str(path)])
+        assert code == cli.EXIT_INPUT
+        assert err.startswith("input-error:")
+    for by in ("5", '[0,0,"a"]'):
+        code, out, err = run(capsys, ["quotient", "--builder", "chain:3", "--by", by])
+        assert code == cli.EXIT_INPUT
+        assert err.startswith("input-error:")
 
 
 def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, ["enumerate", "--n", "5", "--emit"])
     _, second, _ = run(capsys, ["enumerate", "--n", "5", "--emit"])
     assert first == second
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+small_ints = st.integers(-2, 7)
+json_docs = st.recursive(
+    st.none() | st.booleans() | small_ints | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["n", "covers", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+# chain cover prefixes: a lattice when no cover is dropped, else not connected
+chain_docs = st.builds(
+    lambda n, k: {"n": n, "covers": [[i, i + 1] for i in range(n - 1)][:k]},
+    st.integers(1, 6),
+    st.integers(0, 5),
+)
+lattice_docs = (
+    json_docs
+    | chain_docs
+    | st.fixed_dictionaries(
+        {"n": small_ints | json_docs, "covers": st.lists(st.lists(small_ints, max_size=3), max_size=8)}
+    )
+)
+# four of the 27 arrays are congruences of chain 3
+rep_arrays = st.lists(st.integers(0, 2), min_size=3, max_size=3).map(json.dumps)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(lattice_docs)
+def test_fuzz_energy_json_file(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lattice.json"
+        path.write_text(json.dumps(doc))
+        assert quiet_main(["energy", str(path)]) in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.text(max_size=12) | json_docs.map(json.dumps) | rep_arrays)
+def test_fuzz_quotient_by(by):
+    assert quiet_main(["quotient", "--builder", "chain:3", f"--by={by}"]) in (
+        cli.EXIT_OK,
+        cli.EXIT_INPUT,
+    )

@@ -1,9 +1,19 @@
+import random
+
 import pytest
 
+from conergy import algebra as alg
 from conergy import congruence as cg
+from conergy import enumeration as em
 from conergy import lattice as lt
 from conergy import partition as pt
-from conergy.errors import NotACongruence, NotAnAtom, NotPrime, SizeMismatch
+from conergy.errors import (
+    BudgetExceeded,
+    NotACongruence,
+    NotAnAtom,
+    NotPrime,
+    SizeMismatch,
+)
 
 
 def minimal_collapsing(lat, a, b):
@@ -212,6 +222,85 @@ def test_atom_map_injective_for_all_small_lattices():
         assert cg.is_distributive(con)
         for alpha in con.atoms():
             assert cg.join_with_atom_map(con, alpha).injective
+
+
+def test_join_closure_budget(monkeypatch):
+    # Con(chain 5) has 16 members and the free 4-element algebra Bell(4) = 15
+    monkeypatch.setattr(cg, "CON_BUDGET", 16)
+    assert len(cg.all_congruences(lt.chain(5))) == 16
+    monkeypatch.setattr(cg, "CON_BUDGET", 15)
+    with pytest.raises(BudgetExceeded):
+        cg.all_congruences(lt.chain(5))
+    assert len(alg.all_congruences_alg(alg.FiniteAlgebra(4, ()))) == 15
+    monkeypatch.setattr(cg, "CON_BUDGET", 14)
+    with pytest.raises(BudgetExceeded):
+        alg.all_congruences_alg(alg.FiniteAlgebra(4, ()))
+
+
+def triple_identity(c):
+    """Oracle: a ^ (b v d) = (a ^ b) v (a ^ d) for every triple of members."""
+    ms = c.members
+    idx = {m: i for i, m in enumerate(ms)}
+    join_t = [[idx[pt.join(a, b)] for b in ms] for a in ms]
+    meet_t = [[idx[pt.meet(a, b)] for b in ms] for a in ms]
+    k = range(len(ms))
+    return all(
+        meet_t[a][join_t[b][d]] == join_t[meet_t[a][b]][meet_t[a][d]]
+        for a in k
+        for b in k
+        for d in k
+    )
+
+
+def complemented(c):
+    """Oracle: every member has a complement among the members."""
+    return all(
+        any(pt.meet(m, x) == c.bottom and pt.join(m, x) == c.top for x in c.members)
+        for m in c.members
+    )
+
+
+def random_algebra(rng):
+    n = rng.randint(2, 6)
+    arities = rng.choice([(1,), (2,), (1, 1), (1, 2)])
+    return alg.FiniteAlgebra(
+        n,
+        tuple(
+            alg.Operation(f"f{i}", a, tuple(rng.randrange(n) for _ in range(n**a)))
+            for i, a in enumerate(arities)
+        ),
+    )
+
+
+def oracle_con_lattices():
+    for n in range(1, 8):
+        for lat in em.all_lattices(n):
+            yield cg.all_congruences(lat)
+    rng = random.Random(20260)
+    for _ in range(200):
+        yield alg.all_congruences_alg(random_algebra(rng))
+    # Con of this algebra is the pentagon itself: it holds no diamond, so
+    # only the pentagon scan can reject it (random ones with a pentagon
+    # here also hold a diamond)
+    ops = (alg.Operation("f", 1, (1, 0, 1, 0)), alg.Operation("g", 1, (1, 0, 3, 2)))
+    yield alg.all_congruences_alg(alg.FiniteAlgebra(4, ops))
+
+
+def test_distributive_boolean_verdicts_match_oracles():
+    # the scan against the triple identity, and the counting boolean test
+    # against complements and against bijective atom-join maps
+    seen = set()
+    for con in oracle_con_lattices():
+        dist = triple_identity(con)
+        assert cg.is_distributive(con) == dist
+        boolean = cg.is_boolean(con)
+        assert boolean == (dist and complemented(con))
+        if dist:
+            assert boolean == all(
+                cg.join_with_atom_map(con, a).bijective for a in con.atoms()
+            )
+        seen.add((dist, boolean))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_distributive_boolean_verdicts():

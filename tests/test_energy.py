@@ -120,6 +120,15 @@ def test_congruence_energy_duality():
             assert ce == en.congruence_energy(cg.all_congruences(lt.dual(lat)))
 
 
+def test_congruence_energy_block_count_identity():
+    # CE = 2 * n * |Con| - 2 * (blocks summed over Con), from heq = n - blocks
+    for n in range(1, 7):
+        for lat in em.all_lattices(n):
+            con = cg.all_congruences(lat)
+            blocks = sum(pt.num_blocks(m) for m in con.members)
+            assert en.congruence_energy(con) == 2 * n * len(con) - 2 * blocks
+
+
 def test_monotone_step_with_atoms():
     # joining an atom raises the energy by at least 2
     for n in range(2, 7):
