@@ -1,10 +1,11 @@
 """General finite algebras given by operation tables.
 
-Congruence generation runs a fixpoint over unary translations (all but one
-argument frozen to constants) alternated with transitive re-closure; the
-full congruence lattice is the join-closure of the principal congruences,
-built by ``congruence.join_closure`` under its CON_BUDGET.  ``ce_bound_check``
-tests distributivity of Con(A) for real, since for an algebra it is a
+A congruence is generated by ``congruence.translation_closure`` over the
+unary translations (all but one argument frozen to constants), the same
+union-find closure that lattices use.  Con(A) need not be distributive, so
+it is the join-closure of the principal congruences, built by
+``congruence.join_closure`` under its CON_BUDGET.  ``ce_bound_check`` tests
+distributivity of Con(A) for real, since for an algebra it is a
 hypothesis, not a theorem.
 """
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from . import congruence as cg
 from . import counting as ct
 from . import energy as en
-from . import partition as pt
 from .errors import BudgetExceeded, OutOfRange, SizeMismatch
 
 MAX_ARITY = 3
@@ -62,12 +62,9 @@ def apply_op(alg, op, args):
 
 
 def unary_translations(alg):
-    """All maps x -> f(c1, .., x, .., ck), as tuples of length n.
-
-    The identity is included so the fixpoint loop has a uniform shape.
-    """
+    """All maps x -> f(c1, .., x, .., ck), as sorted tuples of length n."""
     n = alg.n
-    maps = {tuple(range(n))}
+    maps = set()
     for op in alg.ops:
         if op.arity == 0:
             continue
@@ -86,24 +83,7 @@ def unary_translations(alg):
 
 def congruence_closure(alg, pairs):
     """Least congruence containing the given pairs."""
-    n = alg.n
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
-    trs = unary_translations(alg)
-    current = pt.join_pairs(n, pairs)
-    while True:
-        extra = []
-        for x in range(n):
-            y = current.rep[x]
-            if y == x:
-                continue
-            for tr in trs:
-                if current.rep[tr[x]] != current.rep[tr[y]]:
-                    extra.append((tr[x], tr[y]))
-        if not extra:
-            return current
-        current = pt.join(current, pt.join_pairs(n, extra))
+    return cg.translation_closure(alg.n, unary_translations(alg), pairs)
 
 
 def is_compatible(alg, p):
@@ -156,7 +136,7 @@ def ce_bound_check(alg):
     if not cg.is_distributive(con):
         return CeBoundVerdict("precondition-failed", alg.n, ce, bound, len(con))
     attains = ce == bound
-    boolean = cg.is_boolean(con) if attains else False
+    boolean = cg.has_boolean_size(con) if attains else False
     holds = ce <= bound and (
         not attains or (boolean and len(con) == 2 ** (alg.n - 1))
     )

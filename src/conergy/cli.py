@@ -109,28 +109,39 @@ def cmd_energy(args):
     return EXIT_OK
 
 
+def _con_hasse(lat, con):
+    """Covering pairs [i, j] of Con(L), sorted.  Con(L) is distributive, so
+    it is graded by rank(m) = #{j in J : j <= m} over its join-irreducibles
+    J, and q covers p iff q = p v j for some j in J with j not <= p and
+    rank(q) = rank(p) + 1."""
+    jis = cg.join_irreducibles(lat)
+    index = {m: i for i, m in enumerate(con.members)}
+    below = [[pt.leq(j, m) for j in jis] for m in con.members]
+    rank = [sum(row) for row in below]
+    hasse = []
+    for i, p in enumerate(con.members):
+        for j, j_below_p in zip(jis, below[i]):
+            if not j_below_p:
+                k = index[pt.join(p, j)]
+                if rank[k] == rank[i] + 1:
+                    hasse.append([i, k])
+    return sorted(hasse)
+
+
 def cmd_conlat(args):
     lat = load_lattice(args)
     con = cg.all_congruences(lat)
     members = list(con.members)
-    hasse = []
-    for i, p in enumerate(members):
-        for j, q in enumerate(members):
-            if p != q and pt.leq(p, q):
-                if not any(
-                    r != p and r != q and pt.leq(p, r) and pt.leq(r, q)
-                    for r in members
-                ):
-                    hasse.append([i, j])
+    distributive = cg.is_distributive(con)
     atom_idx = sorted(members.index(a) for a in con.atoms())
     _emit(
         {
             "host_n": con.host_n,
             "members": [list(m.rep) for m in members],
-            "hasse": hasse,
+            "hasse": _con_hasse(lat, con),
             "atoms": atom_idx,
-            "distributive": cg.is_distributive(con),
-            "boolean": cg.is_boolean(con),
+            "distributive": distributive,
+            "boolean": distributive and cg.has_boolean_size(con),
         },
         args.out,
     )

@@ -1,13 +1,17 @@
 """Congruences of finite lattices.
 
 The congruence checker verifies that blocks are intervals and that the two
-quadrilateral closure conditions (one and its dual) hold.  Principal
-congruences of covering pairs come from projectivity reachability over
-prime intervals; the full congruence lattice is the join-closure of those
-join-irreducibles.  ``join_closure`` is the one closure loop, shared with
-``algebra.all_congruences_alg``, and it stops with BudgetExceeded once Con
-passes CON_BUDGET members.  A brute-force filter over all partitions exists
-as a cross-check oracle.
+quadrilateral closure conditions (one and its dual) hold.  A principal
+congruence is one ``translation_closure``, a union-find closed under the
+translations x -> x v c and x -> x ^ c, for any pair; algebras use the same
+routine with their own translations.  Con(L) is distributive, so
+``all_congruences`` builds it as the down-sets of its join-irreducibles,
+the congruences of covering pairs, with one partition join per member
+(after Freese, "Computing congruences efficiently", 2008).  Algebras,
+whose Con need not be distributive, use the generic ``join_closure``.
+Both stop with BudgetExceeded once Con passes CON_BUDGET members.
+Perspectivity reachability over prime intervals and a brute-force filter
+over all partitions stay as cross-check oracles.
 
 Distributivity of a congruence lattice is decided by Birkhoff's
 forbidden-sublattice scan (no pentagon, no diamond); booleanness of a
@@ -140,51 +144,52 @@ def perspectivity_closure(lat, seed):
     }
 
 
-def _principal_prime(lat, a, b):
-    edges = [(iv.lo, iv.hi) for iv in perspectivity_closure(lat, lt.PrimeInterval(a, b))]
-    return pt.join_pairs(lat.n, edges)
+def translation_closure(n, translations, pairs):
+    """Least equivalence on n points containing the pairs and closed under
+    the translations: the congruence they generate when the translations
+    are the basic unary translations of an algebra."""
+    pairs = list(pairs)
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
+    return pt.union_find(list(range(n)), pairs, translations)
 
 
-def _maximal_chain(lat, a, b, prefer_high=False):
-    """Some maximal chain from a up to b (a <= b assumed)."""
-    out = []
-    z = a
-    while z != b:
-        steps = [w for w in lat.upper_covers(z) if lat.leq(w, b)]
-        z2 = max(steps) if prefer_high else min(steps)
-        out.append((z, z2))
-        z = z2
-    return out
+def principal_congruence(lat, a, b):
+    """Least congruence collapsing (a, b): the closure of the pair under
+    the translations x -> x v c and x -> x ^ c, the rows of the join and
+    meet tables."""
+    return translation_closure(lat.n, lat.join_table + lat.meet_table, [(a, b)])
 
 
-def principal_congruence(lat, a, b, prefer_high=False):
-    """Least congruence collapsing (a, b).
+def join_irreducibles(lat):
+    """The join-irreducible members of Con(L), the distinct principal
+    congruences of covering pairs, sorted by (heq, rep), which is a linear
+    extension of their order.
 
-    Reduction: incomparable pairs go to (meet, join); a comparable pair is
-    handled along a maximal chain of covers, joining the prime-interval
-    principal congruences.  The result is chain-independent; prefer_high
-    only switches which maximal chain is walked (used by tests).
+    Only the covers j_* < j below join-irreducible elements j of L are
+    closed: for any cover a < b, a minimal j <= b with j not <= a is
+    join-irreducible, with j v a = b and j ^ a = j_*, so con(a, b) =
+    con(j_*, j).
     """
-    n = lat.n
-    if not (0 <= a < n and 0 <= b < n):
-        raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
-    if a == b:
-        return pt.bottom(n)
-    if not lat.leq(a, b):
-        if lat.leq(b, a):
-            a, b = b, a
-        else:
-            a, b = lat.meet(a, b), lat.join(a, b)
-    result = pt.bottom(n)
-    for x, y in _maximal_chain(lat, a, b, prefer_high):
-        result = pt.join(result, _principal_prime(lat, x, y))
-    return result
+    lower = {}
+    for a, b in lat.covers:
+        lower.setdefault(b, []).append(a)
+    return _sorted_members(
+        principal_congruence(lat, low[0], j) for j, low in lower.items() if len(low) == 1
+    )
+
+
+def _budget_check(members):
+    if len(members) > CON_BUDGET:
+        raise BudgetExceeded(f"congruence lattice has more than {CON_BUDGET} members")
 
 
 def join_closure(n, generators):
     """The congruence lattice on n points generated by joins of the given
     congruences (the bottom included); raises BudgetExceeded as soon as it
-    has more than CON_BUDGET members."""
+    has more than CON_BUDGET members.  For algebras, whose Con need not be
+    distributive."""
     jis = list(dict.fromkeys(generators))
     members = {pt.bottom(n), *jis}
     frontier = jis
@@ -196,17 +201,33 @@ def join_closure(n, generators):
                 if h not in members:
                     members.add(h)
                     fresh.append(h)
-                    if len(members) > CON_BUDGET:
-                        raise BudgetExceeded(
-                            f"congruence lattice has more than {CON_BUDGET} members"
-                        )
+                    _budget_check(members)
         frontier = fresh
     return CongruenceLattice(n, _sorted_members(members))
 
 
 def all_congruences(lat):
-    """Con(L) as join-closure of the prime-interval principal congruences."""
-    return join_closure(lat.n, [_principal_prime(lat, a, b) for a, b in lat.covers])
+    """Con(L) as the down-sets of its join-irreducibles J.
+
+    Con(L) is distributive (Funayama-Nakayama), so D -> join(D) is a
+    bijection from the down-sets of J onto Con(L).  The down-sets grow
+    breadth-first: D is extended by J[t] only when t lies above D's
+    highest index and D holds every element below J[t], so each down-set
+    is reached once, from itself minus its highest element, with one
+    partition join.  Raises BudgetExceeded as soon as Con has more than
+    CON_BUDGET members.
+    """
+    jis = join_irreducibles(lat)
+    below = [
+        sum(1 << s for s in range(t) if pt.leq(jis[s], j)) for t, j in enumerate(jis)
+    ]
+    members = [(0, pt.bottom(lat.n))]
+    for down, m in members:
+        for t in range(down.bit_length(), len(jis)):
+            if below[t] & ~down == 0:
+                members.append((down | 1 << t, pt.join(m, jis[t])))
+                _budget_check(members)
+    return CongruenceLattice(lat.n, _sorted_members(m for _, m in members))
 
 
 def brute_force_congruences(lat):
@@ -317,8 +338,14 @@ def is_distributive(c):
     return True
 
 
+def has_boolean_size(c):
+    """Whether c has 2^(number of atoms) members.  For a distributive c this
+    decides booleanness: a finite distributive lattice is the down-set
+    lattice of its join-irreducibles, which has exactly 2^(atoms) members
+    iff every join-irreducible is an atom."""
+    return len(c.members) == 2 ** len(c.atoms())
+
+
 def is_boolean(c):
-    """Distributive with 2^(number of atoms) members.  A finite distributive
-    lattice is the down-set lattice of its join-irreducibles, which has
-    exactly 2^(atoms) members iff every join-irreducible is an atom."""
-    return is_distributive(c) and len(c.members) == 2 ** len(c.atoms())
+    """Distributive with 2^(number of atoms) members."""
+    return is_distributive(c) and has_boolean_size(c)

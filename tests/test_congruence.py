@@ -111,12 +111,37 @@ def test_principal_congruence_matches_minimal_oracle():
                 assert cg.principal_congruence(lat, a, b) == minimal_collapsing(lat, a, b)
 
 
+def prime_congruence_oracle(lat, a, b):
+    """Oracle: con(a, b) of a covering pair, from the prime intervals its
+    perspectivity closure reaches."""
+    edges = [(iv.lo, iv.hi) for iv in cg.perspectivity_closure(lat, lt.PrimeInterval(a, b))]
+    return pt.join_pairs(lat.n, edges)
+
+
+def extreme_maximal_chain(lat, prefer_high):
+    """The covers of the maximal chain from bottom to top that always steps
+    to the least (or the greatest) labelled upper cover."""
+    out = []
+    z = lat.bottom
+    while z != lat.top:
+        steps = lat.upper_covers(z)
+        nxt = max(steps) if prefer_high else min(steps)
+        out.append((z, nxt))
+        z = nxt
+    return out
+
+
 def test_principal_congruence_chain_independent():
-    for lat in small_lattices():
-        bot, top = lat.bottom, lat.top
-        low = cg.principal_congruence(lat, bot, top, prefer_high=False)
-        high = cg.principal_congruence(lat, bot, top, prefer_high=True)
-        assert low == high
+    # con(bottom, top) is the join of the cover congruences along any
+    # maximal chain; walk the lowest and the highest one
+    lats = list(small_lattices()) + [lat for n in range(1, 7) for lat in em.all_lattices(n)]
+    for lat in lats:
+        got = cg.principal_congruence(lat, lat.bottom, lat.top)
+        for prefer_high in (False, True):
+            joined = pt.bottom(lat.n)
+            for a, b in extreme_maximal_chain(lat, prefer_high):
+                joined = pt.join(joined, prime_congruence_oracle(lat, a, b))
+            assert joined == got
 
 
 def test_all_congruences_counts():
@@ -124,6 +149,50 @@ def test_all_congruences_counts():
         assert len(cg.all_congruences(lt.chain(n))) == 2 ** (n - 1)
     assert len(cg.all_congruences(lt.named("N5"))) == 5
     assert len(cg.all_congruences(lt.named("M3"))) == 2
+
+
+def perspectivity_route(lat):
+    """Oracle: Con(L) as the join-closure of the perspectivity congruences
+    of all covering pairs."""
+    return cg.join_closure(lat.n, [prime_congruence_oracle(lat, a, b) for a, b in lat.covers])
+
+
+def glued(*parts):
+    out = parts[0]
+    for part in parts[1:]:
+        out = lt.glued_sum(out, part)
+    return out
+
+
+def test_all_congruences_matches_perspectivity_route():
+    lats = [lat for n in range(1, 9) for lat in em.all_lattices(n)]
+    lats += [
+        lt.chain(12),
+        glued(lt.named("N5"), lt.named("B4"), lt.chain(2)),
+        glued(lt.named("M3"), lt.named("N5"), lt.named("B4"), lt.chain(3)),
+    ]
+    for lat in lats:
+        want = perspectivity_route(lat)
+        assert cg.all_congruences(lat) == want
+        # join_irreducibles closes only the covers below join-irreducibles
+        # of L, yet finds every distinct cover congruence
+        covers = {prime_congruence_oracle(lat, a, b) for a, b in lat.covers}
+        assert cg.join_irreducibles(lat) == tuple(
+            sorted(covers, key=lambda p: (pt.heq(p), p.rep))
+        )
+
+
+def test_all_congruences_reaches_each_member_once(monkeypatch):
+    # one join per non-bottom member, so the budget counts members, not
+    # repeats of them
+    joins = []
+    real_join = pt.join
+    monkeypatch.setattr(pt, "join", lambda p, q: joins.append(1) or real_join(p, q))
+    for n in range(1, 8):
+        for lat in em.all_lattices(n):
+            joins.clear()
+            con = cg.all_congruences(lat)
+            assert len(joins) == len(con) - 1
 
 
 def test_all_congruences_matches_brute_force():

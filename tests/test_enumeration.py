@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -10,12 +11,81 @@ from conergy import enumeration as em
 from conergy import lattice as lt
 from conergy.errors import BudgetExceeded, DomainError
 
-KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
+KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 
 
 def test_counts_match_known_sequence():
     for n, want in KNOWN_COUNTS.items():
         assert len(em.all_lattices(n)) == want
+
+
+def predicate_refined_invariants(n, leq_fn, up_cov, dn_cov):
+    up_sz = [sum(1 for b in range(n) if leq_fn(a, b)) for a in range(n)]
+    dn_sz = [sum(1 for b in range(n) if leq_fn(b, a)) for a in range(n)]
+    raw = [(dn_sz[a], up_sz[a], len(dn_cov[a]), len(up_cov[a])) for a in range(n)]
+    ranks = {t: i for i, t in enumerate(sorted(set(raw)))}
+    inv = [ranks[t] for t in raw]
+    for _ in range(n):
+        raw = [
+            (
+                inv[a],
+                tuple(sorted(inv[b] for b in dn_cov[a])),
+                tuple(sorted(inv[b] for b in up_cov[a])),
+            )
+            for a in range(n)
+        ]
+        ranks = {t: i for i, t in enumerate(sorted(set(raw)))}
+        new = [ranks[t] for t in raw]
+        if len(set(new)) == len(set(inv)):
+            inv = new
+            break
+        inv = new
+    return inv
+
+
+def predicate_canonical_order_matrix(n, leq_fn):
+    """Oracle: the canonical form computed from the order predicate alone,
+    one predicate call per matrix bit of every relabelling tried."""
+    up_cov = [[] for _ in range(n)]
+    dn_cov = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a != b and leq_fn(a, b):
+                if sum(1 for z in range(n) if leq_fn(a, z) and leq_fn(z, b)) == 2:
+                    up_cov[a].append(b)
+                    dn_cov[b].append(a)
+    inv = predicate_refined_invariants(n, leq_fn, up_cov, dn_cov)
+    classes = {}
+    for a in range(n):
+        classes.setdefault(inv[a], []).append(a)
+    groups = [classes[k] for k in sorted(classes)]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
+        sigma = [x for part in parts for x in part]
+        code = 0
+        for i in range(n):
+            for j in range(n):
+                code = code << 1 | (1 if leq_fn(sigma[i], sigma[j]) else 0)
+        if best is None or code < best:
+            best = code
+    return bytes([n]) + best.to_bytes((n * n + 7) // 8, "big")
+
+
+def test_canonical_form_matches_predicate_oracle(monkeypatch):
+    # every canonical form the generator asks for, prefixes included
+    fast = lt.canonical_order_matrix
+    sizes = []
+
+    def checked(n, leq_fn):
+        got = fast(n, leq_fn)
+        assert got == predicate_canonical_order_matrix(n, leq_fn)
+        sizes.append(n)
+        return got
+
+    monkeypatch.setattr(lt, "canonical_order_matrix", checked)
+    for n in range(1, 9):
+        assert len(em.all_lattices(n)) == KNOWN_COUNTS[n]
+    assert set(sizes) == set(range(2, 9))
 
 
 def test_generator_matches_brute_oracle():

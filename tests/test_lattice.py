@@ -60,6 +60,11 @@ def test_from_covers_errors():
         lt.from_covers(6, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
     with pytest.raises(OutOfRange):
         lt.from_covers(2, [(0, 5)])
+    k = lt.LATTICE_BUDGET
+    wide = [(0, i) for i in range(1, k - 1)] + [(i, k - 1) for i in range(1, k - 1)]
+    assert lt.from_covers(k, wide).n == k
+    with pytest.raises(BudgetExceeded):
+        lt.from_covers(k + 1, [])
 
 
 def test_chain():
