@@ -4,9 +4,10 @@ A congruence is generated by ``congruence.translation_closure`` over the
 unary translations (all but one argument frozen to constants), the same
 union-find closure that lattices use.  Con(A) need not be distributive, so
 it is the join-closure of the principal congruences, built by
-``congruence.join_closure`` under its CON_BUDGET.  ``ce_bound_check`` tests
-distributivity of Con(A) for real, since for an algebra it is a
-hypothesis, not a theorem.
+``congruence.join_closure`` under its CON_BUDGET, with the translations
+listed once per algebra.  ``ce_bound_check`` tests distributivity of Con(A)
+for real, by ``congruence.is_distributive``'s down-set count, since for an
+algebra it is a hypothesis, not a theorem.
 """
 
 import itertools
@@ -86,21 +87,16 @@ def congruence_closure(alg, pairs):
     return cg.translation_closure(alg.n, unary_translations(alg), pairs)
 
 
-def is_compatible(alg, p):
-    """Whether an equivalence respects every operation."""
-    return all(
-        p.rep[tr[x]] == p.rep[tr[p.rep[x]]]
-        for tr in unary_translations(alg)
-        for x in range(alg.n)
-    )
-
-
 def all_congruences_alg(alg):
-    """Con(A): join-closure of the principal congruences."""
+    """Con(A): join-closure of the principal congruences, all closed under
+    one list of translations."""
     n = alg.n
     if n > ALG_BUDGET:
         raise BudgetExceeded(f"all_congruences_alg limited to n <= {ALG_BUDGET}")
-    jis = [congruence_closure(alg, [(a, b)]) for a in range(n) for b in range(a + 1, n)]
+    trs = unary_translations(alg)
+    jis = [
+        cg.translation_closure(n, trs, [(a, b)]) for a in range(n) for b in range(a + 1, n)
+    ]
     return cg.join_closure(n, jis)
 
 

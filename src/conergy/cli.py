@@ -109,12 +109,11 @@ def cmd_energy(args):
     return EXIT_OK
 
 
-def _con_hasse(lat, con):
-    """Covering pairs [i, j] of Con(L), sorted.  Con(L) is distributive, so
-    it is graded by rank(m) = #{j in J : j <= m} over its join-irreducibles
-    J, and q covers p iff q = p v j for some j in J with j not <= p and
-    rank(q) = rank(p) + 1."""
-    jis = cg.join_irreducibles(lat)
+def _con_hasse(con, jis):
+    """Covering pairs [i, j] of Con(L), sorted, and the rank of each member.
+    Con(L) is distributive, so it is graded by rank(m) = #{j in J : j <= m}
+    over its join-irreducibles J, and q covers p iff q = p v j for some j
+    in J with j not <= p and rank(q) = rank(p) + 1."""
     index = {m: i for i, m in enumerate(con.members)}
     below = [[pt.leq(j, m) for j in jis] for m in con.members]
     rank = [sum(row) for row in below]
@@ -125,23 +124,24 @@ def _con_hasse(lat, con):
                 k = index[pt.join(p, j)]
                 if rank[k] == rank[i] + 1:
                     hasse.append([i, k])
-    return sorted(hasse)
+    return sorted(hasse), rank
 
 
 def cmd_conlat(args):
+    """Con(L) is distributive (Funayama-Nakayama), the down-sets of J: it is
+    boolean iff |Con| = 2^|J|, and its atoms are the members of rank 1."""
     lat = load_lattice(args)
     con = cg.all_congruences(lat)
-    members = list(con.members)
-    distributive = cg.is_distributive(con)
-    atom_idx = sorted(members.index(a) for a in con.atoms())
+    jis = cg.join_irreducibles(lat)
+    hasse, rank = _con_hasse(con, jis)
     _emit(
         {
             "host_n": con.host_n,
-            "members": [list(m.rep) for m in members],
-            "hasse": _con_hasse(lat, con),
-            "atoms": atom_idx,
-            "distributive": distributive,
-            "boolean": distributive and cg.has_boolean_size(con),
+            "members": [list(m.rep) for m in con.members],
+            "hasse": hasse,
+            "atoms": [i for i, r in enumerate(rank) if r == 1],
+            "distributive": True,
+            "boolean": len(con) == 2 ** len(jis),
         },
         args.out,
     )

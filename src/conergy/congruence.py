@@ -13,9 +13,11 @@ Both stop with BudgetExceeded once Con passes CON_BUDGET members.
 Perspectivity reachability over prime intervals and a brute-force filter
 over all partitions stay as cross-check oracles.
 
-Distributivity of a congruence lattice is decided by Birkhoff's
-forbidden-sublattice scan (no pentagon, no diamond); booleanness of a
-distributive one by counting, since a finite distributive lattice is
+Distributivity of a congruence lattice is decided by Birkhoff's count:
+a finite lattice is distributive iff it has as many elements as its
+join-irreducibles have down-sets, and those are grown by the same
+breadth-first routine that builds Con(L).  Booleanness of a distributive
+one is decided by counting too, since a finite distributive lattice is
 boolean iff it has 2^(number of atoms) elements.
 """
 
@@ -34,8 +36,8 @@ from .errors import (
 )
 
 # Con(chain 15), with 2^14 members, is the largest allowed.  Every suite,
-# test and benchmark job stays far below: the largest is a unary algebra
-# with 609 congruences.
+# test and benchmark job stays below: the largest are Con(chain 12), with
+# 2^11 members, and a unary algebra with 609 congruences.
 CON_BUDGET = 1 << 14
 
 
@@ -49,9 +51,6 @@ class CongruenceLattice:
 
     def __contains__(self, p):
         return p in set(self.members)
-
-    def index(self, p):
-        return self.members.index(p)
 
     @property
     def bottom(self):
@@ -206,28 +205,37 @@ def join_closure(n, generators):
     return CongruenceLattice(n, _sorted_members(members))
 
 
+def _down_set_steps(jis):
+    """Each nonempty down-set of jis (congruences in (heq, rep) order, a
+    linear extension of their order) once, breadth-first, as (i, t):
+    down-set i, 0 being the empty one, extended by jis[t].  D is extended
+    by jis[t] only when t is above D's highest index and D holds all of
+    jis[t]'s lower set, so each down-set comes from itself minus its top."""
+    below = [
+        sum(1 << s for s in range(t) if pt.leq(jis[s], j)) for t, j in enumerate(jis)
+    ]
+    downs = [0]
+    for i, down in enumerate(downs):
+        for t in range(down.bit_length(), len(jis)):
+            if below[t] & ~down == 0:
+                downs.append(down | 1 << t)
+                yield i, t
+
+
 def all_congruences(lat):
     """Con(L) as the down-sets of its join-irreducibles J.
 
     Con(L) is distributive (Funayama-Nakayama), so D -> join(D) is a
-    bijection from the down-sets of J onto Con(L).  The down-sets grow
-    breadth-first: D is extended by J[t] only when t lies above D's
-    highest index and D holds every element below J[t], so each down-set
-    is reached once, from itself minus its highest element, with one
-    partition join.  Raises BudgetExceeded as soon as Con has more than
-    CON_BUDGET members.
+    bijection from the down-sets of J onto Con(L), and each member costs
+    one partition join.  Raises BudgetExceeded as soon as Con has more
+    than CON_BUDGET members.
     """
     jis = join_irreducibles(lat)
-    below = [
-        sum(1 << s for s in range(t) if pt.leq(jis[s], j)) for t, j in enumerate(jis)
-    ]
-    members = [(0, pt.bottom(lat.n))]
-    for down, m in members:
-        for t in range(down.bit_length(), len(jis)):
-            if below[t] & ~down == 0:
-                members.append((down | 1 << t, pt.join(m, jis[t])))
-                _budget_check(members)
-    return CongruenceLattice(lat.n, _sorted_members(m for _, m in members))
+    members = [pt.bottom(lat.n)]
+    for i, t in _down_set_steps(jis):
+        members.append(pt.join(members[i], jis[t]))
+        _budget_check(members)
+    return CongruenceLattice(lat.n, _sorted_members(members))
 
 
 def brute_force_congruences(lat):
@@ -294,48 +302,39 @@ def join_with_atom_map(c, alpha):
     return AtomJoinMap(alpha, pairs, injective, bijective)
 
 
-def _member_ops(c):
-    idx = {m: i for i, m in enumerate(c.members)}
-    n = len(c.members)
-    join_t = [[0] * n for _ in range(n)]
-    meet_t = [[0] * n for _ in range(n)]
-    for i, a in enumerate(c.members):
-        for j in range(i, n):
-            b = c.members[j]
-            join_t[i][j] = join_t[j][i] = idx[pt.join(a, b)]
-            meet_t[i][j] = meet_t[j][i] = idx[pt.meet(a, b)]
-    return join_t, meet_t
-
-
 def is_distributive(c):
-    """Birkhoff: distributive iff Con has no pentagon and no diamond
-    sublattice."""
-    join_t, meet_t = _member_ops(c)
-    k = len(c.members)
-    # pentagon scan: a < b with some d giving equal joins and meets
-    for a in range(k):
-        for b in range(k):
-            if a == b or meet_t[a][b] != a:
-                continue
-            for d in range(k):
-                if meet_t[a][d] in (a, d) or meet_t[b][d] in (b, d):
-                    continue
-                if join_t[a][d] == join_t[b][d] and meet_t[a][d] == meet_t[b][d]:
-                    return False
-    # diamond scan: three pairwise-incomparable with common join and meet
-    for a in range(k):
-        for b in range(a + 1, k):
-            if meet_t[a][b] in (a, b):
-                continue
-            for d in range(b + 1, k):
-                if meet_t[a][d] in (a, d) or meet_t[b][d] in (b, d):
-                    continue
-                if (
-                    join_t[a][b] == join_t[a][d] == join_t[b][d]
-                    and meet_t[a][b] == meet_t[a][d] == meet_t[b][d]
-                ):
-                    return False
-    return True
+    """Whether the congruence lattice c (of a lattice or an algebra) is
+    distributive, by Birkhoff's count: x -> {j in J : j <= x} embeds a
+    finite lattice into the down-sets O(J) of its join-irreducibles J, so
+    c is distributive iff |c| = |O(J)|.  The count stops once it passes |c|.
+
+    Every member is the join of the principal congruences below it, so J
+    is the set of principal members that are not the join of the principal
+    members strictly below them.  con(a, b) is the first member in (heq,
+    rep) order to collapse (a, b), the bit a * n + b of a pair mask."""
+    principals, seen = [], 0
+    for m in c.members:
+        block = {}
+        for i, r in enumerate(m.rep):
+            block[r] = block.get(r, 0) | 1 << i
+        pairs = sum(block[r] << i * c.host_n for i, r in enumerate(m.rep))
+        if pairs & ~seen:
+            principals.append(m)
+            seen |= pairs
+    jis = []
+    for i, p in enumerate(principals):
+        lower = pt.bottom(c.host_n)
+        for q in principals[:i]:
+            if pt.leq(q, p):
+                lower = pt.join(lower, q)
+        if lower != p:
+            jis.append(p)
+    count = 1
+    for _ in _down_set_steps(jis):
+        count += 1
+        if count > len(c):
+            return False
+    return count == len(c)
 
 
 def has_boolean_size(c):

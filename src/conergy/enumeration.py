@@ -82,13 +82,18 @@ def _lattice_from_dn(dn):
 def all_lattices(n):
     """All n-element lattices, one representative per isomorphism class,
     in canonical-form order."""
+    return [lt.chain(1)] if n == 1 else [lat for _, lat in _keyed_lattices(n)]
+
+
+def _keyed_lattices(n):
+    """(canonical form, lattice) for every iso class of order n, sorted."""
     if n < 1:
         raise DomainError(f"all_lattices needs n >= 1, got {n}")
     budget = enumeration_budget()
     if n > budget:
         raise BudgetExceeded(f"all_lattices limited to n <= {budget}")
     if n == 1:
-        return [lt.chain(1)]
+        return [(lt.canonical_form(lt.chain(1)), lt.chain(1))]
     level = {b"": [1]}  # canon -> dn rows of a 1-element prefix
     for k in range(1, n - 1):
         nxt = {}
@@ -108,7 +113,7 @@ def all_lattices(n):
         key = lt.canonical_form(lat)
         if key not in found:
             found[key] = lat
-    return [found[key] for key in sorted(found)]
+    return sorted(found.items())
 
 
 def all_lattices_brute(n):
@@ -270,13 +275,12 @@ def _verdict(ok, detail=""):
 
 def extremal_report(n):
     """Per-class CE and |Con| plus verdicts for the extremal statements."""
-    lattices = all_lattices(n)
     records = []
-    for lat in lattices:
+    for key, lat in _keyed_lattices(n):
         con = cg.all_congruences(lat)
         records.append(
             LatticeRecord(
-                canon=lt.canonical_form(lat).hex(),
+                canon=key.hex(),
                 covers=lat.covers,
                 ce=en.congruence_energy(con),
                 con_size=len(con),
@@ -286,7 +290,6 @@ def extremal_report(n):
                 glued_n5=is_glued_n5_shape(lat),
             )
         )
-    records.sort(key=lambda r: r.canon)
     max_ce = max(r.ce for r in records)
     max_wit = tuple(r.canon for r in records if r.ce == max_ce)
     rest = [r for r in records if r.ce < max_ce]

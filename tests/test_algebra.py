@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conergy import algebra as alg
@@ -118,6 +120,31 @@ def test_xor_algebra_con_is_diamond():
         for b in ats[i + 1:]:
             assert pt.join(a, b) == con.top
             assert pt.meet(a, b) == con.bottom
+
+
+def test_unary_big_algebra_con_holds_a_diamond():
+    # x1 -> x0, x2 -> x1, every other point fixed
+    big = alg.FiniteAlgebra(8, (alg.Operation("f", 1, (0, 0, 1, 3, 4, 5, 6, 7)),))
+    con = alg.all_congruences_alg(big)
+    assert len(con) == 609
+    assert not cg.is_distributive(con)
+    # three pair-collapsing members meet pairwise in the bottom and join
+    # pairwise to the member with block {x, y, z}: a diamond
+    members = set(con.members)
+    diamonds = [
+        (x, y, z)
+        for x, y, z in itertools.combinations(range(8), 3)
+        if {
+            pt.equ_pair(8, x, y),
+            pt.equ_pair(8, x, z),
+            pt.equ_pair(8, y, z),
+            pt.join(pt.equ_pair(8, x, y), pt.equ_pair(8, y, z)),
+        } <= members
+    ]
+    assert (3, 4, 5) in diamonds
+    verdict = alg.ce_bound_check(big)
+    assert verdict.status == "precondition-failed"
+    assert verdict.con_size == 609
 
 
 def test_constants_force_simplicity():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conergy import cli
+from conergy import congruence as cg
 from conergy import enumeration as em
 from conergy import lattice as lt
 from conergy import partition as pt
@@ -91,6 +92,14 @@ def test_conlat_hasse_matches_scan(tmp_path, capsys):
         assert code == cli.EXIT_OK
         members = [pt.Partition(lat.n, tuple(m)) for m in doc["members"]]
         assert doc["hasse"] == scanned_hasse(members)
+        # distributive, boolean and atoms come from J by theorem; compare
+        # them with the verdicts computed from the members: the down-set
+        # count, which test_congruence checks against the pentagon/diamond
+        # scan on these same lattices, and the atom scan
+        con = cg.CongruenceLattice(lat.n, tuple(members))
+        assert doc["distributive"] is cg.is_distributive(con) is True
+        assert doc["boolean"] is cg.is_boolean(con)
+        assert doc["atoms"] == sorted(members.index(a) for a in con.atoms())
 
 
 def test_quotient(capsys):

@@ -321,6 +321,40 @@ def triple_identity(c):
     )
 
 
+def forbidden_sublattice_scan(c):
+    """Oracle: Birkhoff's criterion, no pentagon and no diamond among the
+    members, by one scan over the member join/meet tables."""
+    ms = c.members
+    idx = {m: i for i, m in enumerate(ms)}
+    join_t = [[idx[pt.join(a, b)] for b in ms] for a in ms]
+    meet_t = [[idx[pt.meet(a, b)] for b in ms] for a in ms]
+    k = len(ms)
+    # pentagon: a < b with some d giving equal joins and meets
+    for a in range(k):
+        for b in range(k):
+            if a == b or meet_t[a][b] != a:
+                continue
+            for d in range(k):
+                if meet_t[a][d] in (a, d) or meet_t[b][d] in (b, d):
+                    continue
+                if join_t[a][d] == join_t[b][d] and meet_t[a][d] == meet_t[b][d]:
+                    return False
+    # diamond: three pairwise-incomparable with common join and meet
+    for a in range(k):
+        for b in range(a + 1, k):
+            if meet_t[a][b] in (a, b):
+                continue
+            for d in range(b + 1, k):
+                if meet_t[a][d] in (a, d) or meet_t[b][d] in (b, d):
+                    continue
+                if (
+                    join_t[a][b] == join_t[a][d] == join_t[b][d]
+                    and meet_t[a][b] == meet_t[a][d] == meet_t[b][d]
+                ):
+                    return False
+    return True
+
+
 def complemented(c):
     """Oracle: every member has a complement among the members."""
     return all(
@@ -345,22 +379,25 @@ def oracle_con_lattices():
     for n in range(1, 8):
         for lat in em.all_lattices(n):
             yield cg.all_congruences(lat)
+    yield cg.all_congruences(glued(lt.named("N5"), lt.named("B4"), lt.chain(2)))
     rng = random.Random(20260)
-    for _ in range(200):
+    for _ in range(300):
         yield alg.all_congruences_alg(random_algebra(rng))
     # Con of this algebra is the pentagon itself: it holds no diamond, so
-    # only the pentagon scan can reject it (random ones with a pentagon
+    # a diamond test alone would accept it (random ones with a pentagon
     # here also hold a diamond)
     ops = (alg.Operation("f", 1, (1, 0, 1, 0)), alg.Operation("g", 1, (1, 0, 3, 2)))
     yield alg.all_congruences_alg(alg.FiniteAlgebra(4, ops))
 
 
 def test_distributive_boolean_verdicts_match_oracles():
-    # the scan against the triple identity, and the counting boolean test
-    # against complements and against bijective atom-join maps
+    # the down-set count against the triple identity and the pentagon/diamond
+    # scan, and the counting boolean test against complements and against
+    # bijective atom-join maps
     seen = set()
     for con in oracle_con_lattices():
         dist = triple_identity(con)
+        assert forbidden_sublattice_scan(con) == dist
         assert cg.is_distributive(con) == dist
         boolean = cg.is_boolean(con)
         assert boolean == (dist and complemented(con))
