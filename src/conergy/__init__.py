@@ -13,6 +13,7 @@ from .congruence import (
     CongruenceLattice,
     all_congruences,
     brute_force_congruences,
+    congruence_energies,
     is_boolean,
     is_congruence,
     is_distributive,

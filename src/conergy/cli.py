@@ -96,35 +96,33 @@ def _emit(doc, out=None):
 
 def cmd_energy(args):
     lat = load_lattice(args)
-    con = cg.all_congruences(lat)
+    energies = cg.congruence_energies(lat)
     _emit(
         {
             "n": lat.n,
-            "ce": en.congruence_energy(con),
-            "con_size": len(con),
-            "energies": sorted(en.combinatorial_energy(m) for m in con.members),
+            "ce": sum(energies),
+            "con_size": len(energies),
+            "energies": sorted(energies),
         },
         args.out,
     )
     return EXIT_OK
 
 
-def _con_hasse(con, jis):
-    """Covering pairs [i, j] of Con(L), sorted, and the rank of each member.
-    Con(L) is distributive, so it is graded by rank(m) = #{j in J : j <= m}
-    over its join-irreducibles J, and q covers p iff q = p v j for some j
-    in J with j not <= p and rank(q) = rank(p) + 1."""
-    index = {m: i for i, m in enumerate(con.members)}
-    below = [[pt.leq(j, m) for j in jis] for m in con.members]
-    rank = [sum(row) for row in below]
-    hasse = []
-    for i, p in enumerate(con.members):
-        for j, j_below_p in zip(jis, below[i]):
-            if not j_below_p:
-                k = index[pt.join(p, j)]
-                if rank[k] == rank[i] + 1:
-                    hasse.append([i, k])
-    return sorted(hasse), rank
+def _con_hasse(con):
+    """Covering pairs [i, j] of Con(L), sorted, and the rank of each member,
+    from the down-set masks: Con(L) is isomorphic to the down-sets of J,
+    whose covers are D < D + {t} for every t outside D that leaves a
+    down-set, and whose rank is |D|."""
+    index = {d: i for i, d in enumerate(con.down_sets)}
+    width = max(con.down_sets).bit_length()  # |J|: the top's mask is full
+    hasse = [
+        [i, index[d | 1 << t]]
+        for i, d in enumerate(con.down_sets)
+        for t in range(width)
+        if d | 1 << t in index and not d >> t & 1
+    ]
+    return sorted(hasse), [d.bit_count() for d in con.down_sets]
 
 
 def cmd_conlat(args):
@@ -132,8 +130,7 @@ def cmd_conlat(args):
     boolean iff |Con| = 2^|J|, and its atoms are the members of rank 1."""
     lat = load_lattice(args)
     con = cg.all_congruences(lat)
-    jis = cg.join_irreducibles(lat)
-    hasse, rank = _con_hasse(con, jis)
+    hasse, rank = _con_hasse(con)
     _emit(
         {
             "host_n": con.host_n,
@@ -141,7 +138,7 @@ def cmd_conlat(args):
             "hasse": hasse,
             "atoms": [i for i, r in enumerate(rank) if r == 1],
             "distributive": True,
-            "boolean": len(con) == 2 ** len(jis),
+            "boolean": len(con) == 2 ** max(rank),
         },
         args.out,
     )
@@ -231,11 +228,11 @@ def suite_pentagon(max_k):
         want_ce = ct.g_pn(k)
         want_con = 5 * 2 ** (k - 5)
         for i, lat in enumerate(enum_mod.glued_n5_family(k), start=1):
-            con = cg.all_congruences(lat)
-            ce = en.congruence_energy(con)
-            if ce != want_ce or len(con) != want_con:
+            energies = cg.congruence_energies(lat)
+            ce, con_size = sum(energies), len(energies)
+            if ce != want_ce or con_size != want_con:
                 ok = False
-                details.append(f"k={k} placement {i}: ce={ce} con={len(con)}")
+                details.append(f"k={k} placement {i}: ce={ce} con={con_size}")
         details.append(f"k={k}: ce={want_ce} con={want_con} for every placement")
     return ok, details
 

@@ -3,15 +3,27 @@
 The congruence checker verifies that blocks are intervals and that the two
 quadrilateral closure conditions (one and its dual) hold.  A principal
 congruence is one ``translation_closure``, a union-find closed under the
-translations x -> x v c and x -> x ^ c, for any pair; algebras use the same
-routine with their own translations.  Con(L) is distributive, so
-``all_congruences`` builds it as the down-sets of its join-irreducibles,
-the congruences of covering pairs, with one partition join per member
-(after Freese, "Computing congruences efficiently", 2008).  Algebras,
-whose Con need not be distributive, use the generic ``join_closure``.
-Both stop with BudgetExceeded once Con passes CON_BUDGET members.
-Perspectivity reachability over prime intervals and a brute-force filter
-over all partitions stay as cross-check oracles.
+translations x -> x v c for join-irreducible c and x -> x ^ c for
+meet-irreducible c (``Lattice.translations``), for any pair; algebras use
+the same routine with their own translations.  Con(L) is distributive
+(Funayama-Nakayama), the down-sets O(J) of its join-irreducibles J, the
+congruences of covering pairs (after Freese, "Computing congruences
+efficiently", 2008).  ``all_congruences`` builds each member with one
+partition join and keeps its down-set mask beside it.
+
+``congruence_energies`` does not build Con at all.  By the paper's claim
+(1) the energy of a member theta is 2 (n - |L/theta|), and since blocks
+are intervals, n - |L/theta| counts the x with a lower cover y < x and
+y theta x.  Label each cover y < x by con(y, x), a member of J, and let
+S_x be the labels of x's lower covers: the member of down-set D has
+energy 2 #{x : D meets S_x}.  ``cover_labels`` finds J, its order and the
+labels on bit rows, by Day's D relation on the join-irreducible elements
+of L, so the count makes no partition at all.
+
+Algebras, whose Con need not be distributive, use the generic
+``join_closure``.  Every route stops with BudgetExceeded once Con passes
+CON_BUDGET members.  Perspectivity reachability over prime intervals and a
+brute-force filter over all partitions stay as cross-check oracles.
 
 Distributivity of a congruence lattice is decided by Birkhoff's count:
 a finite lattice is distributive iff it has as many elements as its
@@ -21,7 +33,7 @@ one is decided by counting too, since a finite distributive lattice is
 boolean iff it has 2^(number of atoms) elements.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import lattice as lt
 from . import partition as pt
@@ -45,6 +57,9 @@ CON_BUDGET = 1 << 14
 class CongruenceLattice:
     host_n: int
     members: tuple  # Partition tuple, sorted by (heq, rep)
+    # from all_congruences: down_sets[i] is the set of join-irreducibles
+    # below members[i], a bitmask over J in (heq, rep) order; else None
+    down_sets: tuple = field(default=None, compare=False)
 
     def __len__(self):
         return len(self.members)
@@ -156,9 +171,9 @@ def translation_closure(n, translations, pairs):
 
 def principal_congruence(lat, a, b):
     """Least congruence collapsing (a, b): the closure of the pair under
-    the translations x -> x v c and x -> x ^ c, the rows of the join and
-    meet tables."""
-    return translation_closure(lat.n, lat.join_table + lat.meet_table, [(a, b)])
+    the lattice's join-irreducible join rows and meet-irreducible meet
+    rows, which generate every join and meet translation."""
+    return translation_closure(lat.n, lat.translations, [(a, b)])
 
 
 def join_irreducibles(lat):
@@ -205,25 +220,32 @@ def join_closure(n, generators):
     return CongruenceLattice(n, _sorted_members(members))
 
 
-def _down_set_steps(jis):
-    """Each nonempty down-set of jis (congruences in (heq, rep) order, a
-    linear extension of their order) once, breadth-first, as (i, t):
-    down-set i, 0 being the empty one, extended by jis[t].  D is extended
-    by jis[t] only when t is above D's highest index and D holds all of
-    jis[t]'s lower set, so each down-set comes from itself minus its top."""
-    below = [
+def _strict_below(jis):
+    """below[t]: bitmask of the s with jis[s] < jis[t], for congruences in
+    (heq, rep) order, a linear extension of their order."""
+    return [
         sum(1 << s for s in range(t) if pt.leq(jis[s], j)) for t, j in enumerate(jis)
     ]
+
+
+def _down_set_steps(below):
+    """Each nonempty down-set of a poset once, breadth-first, as (i, t,
+    mask): down-set i, 0 being the empty one, extended by element t to the
+    down-set with bitmask mask.  The elements are numbered along a linear
+    extension, below[t] being the bitmask of those strictly below t.  D is
+    extended by t only when t is above D's highest index and D holds all
+    of below[t], so each down-set comes from itself minus its top."""
     downs = [0]
     for i, down in enumerate(downs):
-        for t in range(down.bit_length(), len(jis)):
+        for t in range(down.bit_length(), len(below)):
             if below[t] & ~down == 0:
                 downs.append(down | 1 << t)
-                yield i, t
+                yield i, t, downs[-1]
 
 
 def all_congruences(lat):
-    """Con(L) as the down-sets of its join-irreducibles J.
+    """Con(L) as the down-sets of its join-irreducibles J, each member with
+    its down-set mask.
 
     Con(L) is distributive (Funayama-Nakayama), so D -> join(D) is a
     bijection from the down-sets of J onto Con(L), and each member costs
@@ -232,10 +254,81 @@ def all_congruences(lat):
     """
     jis = join_irreducibles(lat)
     members = [pt.bottom(lat.n)]
-    for i, t in _down_set_steps(jis):
+    masks = [0]
+    for i, t, mask in _down_set_steps(_strict_below(jis)):
         members.append(pt.join(members[i], jis[t]))
+        masks.append(mask)
         _budget_check(members)
-    return CongruenceLattice(lat.n, _sorted_members(members))
+    pairs = sorted(zip(members, masks), key=lambda pm: (pt.heq(pm[0]), pm[0].rep))
+    return CongruenceLattice(
+        lat.n, tuple(m for m, _ in pairs), tuple(mask for _, mask in pairs)
+    )
+
+
+def cover_labels(lat):
+    """(below, labels): the join-irreducibles of Con(L) numbered along a
+    linear extension, below[t] the bitmask of those strictly below member
+    t, and labels[(y, x)] = t for each cover y < x of L with con(y, x)
+    member t.  Works on bit rows, with no partition.
+
+    For join-irreducible elements p, q of L, with lower covers p_*, q_*,
+    write p D q when p <= q v x and p not <= q_* v x for some x.  Collapsing
+    (q_*, q) then collapses q v x with q_* v x, hence p = p ^ (q v x) with
+    p ^ (q_* v x) <= p_*: so p D q gives con(p_*, p) <= con(q_*, q), and
+    in a finite lattice con(p_*, p) <= con(q_*, q) iff p reaches q along D
+    (A. Day; Freese, Jezek and Nation, "Free Lattices", 1995, ch. 2).  So
+    each p gets the bitmask of the p' with con(p'_*, p') <= con(p_*, p),
+    and the distinct bitmasks, ordered by inclusion, are J(Con L).  A cover
+    y < x has con(y, x) = con(j_*, j) for a minimal join-irreducible j <= x
+    with j not <= y, since then j v y = x and j ^ y = j_*.
+    """
+    n, dn, join_t = lat.n, lat.dn_bits, lat.join_table
+    lower = [0] * n
+    star = [0] * n
+    for a, b in lat.covers:
+        lower[b] += 1
+        star[b] = a
+    jis = [j for j in range(n) if lower[j] == 1]
+    jmask = sum(1 << j for j in jis)
+    reach = [0] * n  # reach[q]: the p with p D q (q itself by x = 0), closed
+    for q in jis:
+        m = 0
+        for up_q, up_star in zip(join_t[q], join_t[star[q]]):
+            m |= dn[up_q] & ~dn[up_star]
+        reach[q] = m & jmask
+    for k in jis:
+        for p in jis:
+            if reach[p] >> k & 1:
+                reach[p] |= reach[k]
+    classes = sorted({reach[j] for j in jis}, key=lambda c: (c.bit_count(), c))
+    index = {c: t for t, c in enumerate(classes)}
+    below = [
+        sum(1 << s for s in range(t) if classes[s] & ~c == 0) for t, c in enumerate(classes)
+    ]
+    labels = {}
+    for y, x in lat.covers:
+        cand = dn[x] & ~dn[y] & jmask
+        j = min((j for j in jis if cand >> j & 1), key=lambda j: dn[j].bit_count())
+        labels[(y, x)] = index[reach[j]]
+    return below, labels
+
+
+def congruence_energies(lat):
+    """The energy of every member of Con(L), in down-set order, without
+    building Con(L): the member of down-set D of J has energy
+    2 #{x : D meets S_x}, S_x the labels of x's lower covers (see the
+    module docstring).  Sum and length give CE(L) and |Con(L)|.  Raises
+    BudgetExceeded as soon as Con has more than CON_BUDGET members."""
+    below, labels = cover_labels(lat)
+    lower = [0] * lat.n
+    for (_, x), t in labels.items():
+        lower[x] |= 1 << t
+    lower = [s for s in lower if s]
+    energies = [0]
+    for _, _, mask in _down_set_steps(below):
+        energies.append(2 * sum(1 for s in lower if s & mask))
+        _budget_check(energies)
+    return energies
 
 
 def brute_force_congruences(lat):
@@ -330,7 +423,7 @@ def is_distributive(c):
         if lower != p:
             jis.append(p)
     count = 1
-    for _ in _down_set_steps(jis):
+    for _ in _down_set_steps(_strict_below(jis)):
         count += 1
         if count > len(c):
             return False

@@ -5,8 +5,14 @@ Generation grows one element at a time along a linear extension.  Every
 prefix of a linear extension of a lattice is an order ideal, hence a meet
 semilattice, so it suffices to extend a meet semilattice by a new element
 whose down-set keeps greatest lower bounds intact; adding the final top
-element turns the semilattice into a lattice.  Prefixes are deduplicated by
-poset canonical form at every level, which keeps the search tree tiny.
+element turns the semilattice into a lattice.  Prefixes are held as packed
+down and up bit rows and deduplicated by poset canonical form at every
+level, which keeps the search tree tiny.  At the last level the top is
+appended before the canonical form is taken: adding a top is a bijection
+from (n-1)-element meet semilattices onto n-element lattices, so the key
+is already the lattice's canonical form, and a Lattice is built only for
+the one representative kept per class.  ``extremal_report`` counts CE and
+|Con| from the down-sets of J (``congruence.congruence_energies``).
 
 An independent labeled-poset oracle (enumerate all naturally labeled
 posets, filter the lattice property) guards completeness at small sizes.
@@ -17,12 +23,11 @@ from dataclasses import dataclass
 
 from . import congruence as cg
 from . import counting as ct
-from . import energy as en
 from . import lattice as lt
 from .errors import BudgetExceeded, DomainError
 
 DEFAULT_BUDGET = 8
-BUDGET_CAP = 9
+BUDGET_CAP = 10
 BUDGET_ENV = "CONERGY_BUDGET_N"
 
 
@@ -34,10 +39,6 @@ def enumeration_budget():
         return min(BUDGET_CAP, max(1, int(raw)))
     except ValueError:
         return DEFAULT_BUDGET
-
-
-def _leq_from_dn(dn):
-    return lambda a, b: bool(dn[b] >> a & 1)
 
 
 def _down_closed_subsets(dn, k):
@@ -92,28 +93,27 @@ def _keyed_lattices(n):
     budget = enumeration_budget()
     if n > budget:
         raise BudgetExceeded(f"all_lattices limited to n <= {budget}")
-    if n == 1:
-        return [(lt.canonical_form(lt.chain(1)), lt.chain(1))]
-    level = {b"": [1]}  # canon -> dn rows of a 1-element prefix
+    if n <= 2:
+        lat = lt.chain(n)
+        return [(lt.canonical_form(lat), lat)]
+    level = {b"": ([1], [1])}  # canon -> (dn, up) rows of a 1-element prefix
     for k in range(1, n - 1):
+        last = k == n - 2
         nxt = {}
-        for dn in level.values():
+        for dn, up in level.values():
             for mask in _down_closed_subsets(dn, k):
                 if not all(_has_greatest(dn, mask & dn[j]) for j in range(k)):
                     continue
-                dn2 = dn + [mask | (1 << k)]
-                key = lt.canonical_order_matrix(k + 1, _leq_from_dn(dn2))
+                up2 = [u | 1 << k if mask >> a & 1 else u for a, u in enumerate(up)]
+                up2.append(1 << k)
+                if last:  # append the top: the key is the lattice's canonical form
+                    top = 1 << (n - 1)
+                    up2 = [u | top for u in up2] + [top]
+                key = lt.canonical_order_matrix(len(up2), up2)
                 if key not in nxt:
-                    nxt[key] = dn2
+                    nxt[key] = (dn + [mask | 1 << k], up2)
         level = nxt
-    found = {}
-    for dn in level.values():
-        full = (1 << (n - 1)) - 1
-        lat = _lattice_from_dn(dn + [full | (1 << (n - 1))])
-        key = lt.canonical_form(lat)
-        if key not in found:
-            found[key] = lat
-    return sorted(found.items())
+    return sorted((key, lt.from_order_bits(n, up)) for key, (_, up) in level.items())
 
 
 def all_lattices_brute(n):
@@ -277,13 +277,13 @@ def extremal_report(n):
     """Per-class CE and |Con| plus verdicts for the extremal statements."""
     records = []
     for key, lat in _keyed_lattices(n):
-        con = cg.all_congruences(lat)
+        energies = cg.congruence_energies(lat)
         records.append(
             LatticeRecord(
                 canon=key.hex(),
                 covers=lat.covers,
-                ce=en.congruence_energy(con),
-                con_size=len(con),
+                ce=sum(energies),
+                con_size=len(energies),
                 is_chain=lt.is_chain(lat),
                 antichain_pairs=lt.count_two_element_antichains(lat),
                 glued_b4=decomposes_as_chain_b4_chain(lat),

@@ -3,11 +3,16 @@ duality, and isomorphism for small orders.
 
 Elements are integers 0..n-1.  The order matrix is stored as packed bit
 rows: ``up_bits[a]`` has bit b set iff a <= b, and ``dn_bits[b]`` has bit a
-set iff a <= b.  All values are immutable after construction.
+set iff a <= b.  All values are immutable after construction.  Covers,
+the join and meet tables and the canonical form all come from the rows:
+the join of a and b is the element whose up-set is up_bits[a] & up_bits[b]
+(one dict lookup, dually for the meet), and the canonical form takes the
+rows themselves, not an order predicate.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BudgetExceeded,
@@ -59,6 +64,25 @@ class Lattice:
         full = (1 << self.n) - 1
         return next(a for a in range(self.n) if self.dn_bits[a] == full)
 
+    @cached_property
+    def translations(self):
+        """The table rows x -> x v c for join-irreducible c and x -> x ^ c
+        for meet-irreducible c, bottom and top left out.  Every c is the
+        join of the join-irreducibles below it, so x -> x v c is a
+        composition of the rows kept (the identity for the bottom, a
+        constant for the top), and dually for meets: an equivalence closed
+        under these rows is closed under every join and meet translation.
+        Built once per lattice."""
+        lower = [0] * self.n
+        upper = [0] * self.n
+        for a, b in self.covers:
+            upper[a] += 1
+            lower[b] += 1
+        return tuple(
+            [self.join_table[c] for c in range(self.n) if lower[c] == 1 and upper[c]]
+            + [self.meet_table[c] for c in range(self.n) if upper[c] == 1 and lower[c]]
+        )
+
     def upper_covers(self, a):
         return sorted(b for (x, b) in self.covers if x == a)
 
@@ -99,36 +123,23 @@ def _closure_from_covers(n, covers):
 
 def _tables_from_order(n, up, dn):
     """Join/meet tables from the order bitmasks; NotALattice if some pair
-    has no least upper bound or no greatest lower bound."""
-    join_t = [[0] * n for _ in range(n)]
-    meet_t = [[0] * n for _ in range(n)]
+    has no least upper bound or no greatest lower bound.
+
+    In a lattice the common upper bounds of a and b are the up-set of
+    a v b, so the join is one lookup of up[a] & up[b] among the up-sets,
+    and dually for the meet.  A pair has a least upper bound exactly when
+    that lookup succeeds.
+    """
+    join_of = {u: z for z, u in enumerate(up)}
+    meet_of = {d: z for z, d in enumerate(dn)}
+    join_t = [tuple([join_of.get(ua & ub) for ub in up]) for ua in up]
+    meet_t = [tuple([meet_of.get(da & db) for db in dn]) for da in dn]
     for a in range(n):
-        for b in range(a, n):
-            ub = up[a] & up[b]
-            j = None
-            m = ub
-            while m:
-                z = (m & -m).bit_length() - 1
-                if ub & ~up[z] == 0:
-                    j = z
-                    break
-                m &= m - 1
-            if j is None:
-                raise NotALattice(f"elements {a} and {b} have no unique join")
-            lb = dn[a] & dn[b]
-            g = None
-            m = lb
-            while m:
-                z = (m & -m).bit_length() - 1
-                if lb & ~dn[z] == 0:
-                    g = z
-                    break
-                m &= m - 1
-            if g is None:
-                raise NotALattice(f"elements {a} and {b} have no unique meet")
-            join_t[a][b] = join_t[b][a] = j
-            meet_t[a][b] = meet_t[b][a] = g
-    return tuple(map(tuple, join_t)), tuple(map(tuple, meet_t))
+        if None in join_t[a] or None in meet_t[a]:
+            b = next(b for b in range(a, n) if None in (join_t[a][b], meet_t[a][b]))
+            what = "join" if join_t[a][b] is None else "meet"
+            raise NotALattice(f"elements {a} and {b} have no unique {what}")
+    return tuple(join_t), tuple(meet_t)
 
 
 def _covers_from_order(n, up, dn):
@@ -236,13 +247,10 @@ def is_chain(lat):
 
 
 def count_two_element_antichains(lat):
-    n = lat.n
-    cnt = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not lat.leq(a, b) and not lat.leq(b, a):
-                cnt += 1
-    return cnt
+    """Incomparable pairs: each element's row of elements comparable to
+    it is up | dn, so every pair is missed by both of its rows."""
+    full = (1 << lat.n) - 1
+    return sum((full & ~(u | d)).bit_count() for u, d in zip(lat.up_bits, lat.dn_bits)) // 2
 
 
 def prime_intervals(lat):
@@ -251,53 +259,51 @@ def prime_intervals(lat):
 
 def _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov):
     """Label-independent invariant per element, refined a la
-    Weisfeiler-Leman over the cover graph until stable."""
+    Weisfeiler-Leman over the cover graph until stable.  A discrete
+    partition is already stable, so it is returned at once."""
     raw = [(dn_sz[a], up_sz[a], len(dn_cov[a]), len(up_cov[a])) for a in range(n)]
     ranks = {t: i for i, t in enumerate(sorted(set(raw)))}
     inv = [ranks[t] for t in raw]
+    if len(ranks) == n:
+        return inv
     for _ in range(n):
         raw = [
-            (
-                inv[a],
-                tuple(sorted(inv[b] for b in dn_cov[a])),
-                tuple(sorted(inv[b] for b in up_cov[a])),
-            )
-            for a in range(n)
+            (inv[a], tuple(sorted([inv[b] for b in dc])), tuple(sorted([inv[b] for b in uc])))
+            for a, dc, uc in zip(range(n), dn_cov, up_cov)
         ]
         ranks = {t: i for i, t in enumerate(sorted(set(raw)))}
-        new = [ranks[t] for t in raw]
-        if len(set(new)) == len(set(inv)):
-            inv = new
-            break
-        inv = new
+        if len(ranks) == len(set(inv)):
+            break  # no class split, so the ranks are inv's own
+        inv = [ranks[t] for t in raw]
     return inv
 
 
-def canonical_order_matrix(n, leq_fn):
+def canonical_order_matrix(n, up):
     """Minimal packed order matrix over all invariant-respecting
-    relabellings.  Works for any poset given by its order predicate.
+    relabellings of the poset whose packed up rows are ``up`` (bit b of
+    ``up[a]`` set iff a <= b).
 
-    The predicate is read once into packed bit rows (``up[a]`` has bit b
-    set iff a <= b, ``dn`` likewise downwards); covers, the invariants and
-    every candidate code come from the rows.  A relabelling sigma lists
-    the elements by new label; its code is the n*n-bit matrix whose bit
-    (i, j), most significant first, is sigma[i] <= sigma[j].
+    A relabelling sigma lists the elements by new label; its code is the
+    n*n-bit matrix whose bit (i, j), most significant first, is
+    sigma[i] <= sigma[j].  Row i of a candidate is built by summing, over
+    the elements above sigma[i], the weight 2^(n-1-j) of their new label j.
+    Rows have n bits each, so comparing the row lists lexicographically
+    compares the codes.
     """
-    up = [0] * n
+    above = [[b for b in range(n) if row >> b & 1] for row in up]
     dn = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if leq_fn(a, b):
-                up[a] |= 1 << b
-                dn[b] |= 1 << a
-    up_cov = [[] for _ in range(n)]
+    for a, elems in enumerate(above):
+        for b in elems:
+            dn[b] |= 1 << a
+    up_cov = [
+        [b for b in elems if b != a and (up[a] & dn[b]).bit_count() == 2]
+        for a, elems in enumerate(above)
+    ]
     dn_cov = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a != b and up[a] >> b & 1 and (up[a] & dn[b]).bit_count() == 2:
-                up_cov[a].append(b)
-                dn_cov[b].append(a)
-    up_sz = [m.bit_count() for m in up]
+    for a, cov in enumerate(up_cov):
+        for b in cov:
+            dn_cov[b].append(a)
+    up_sz = [len(elems) for elems in above]
     dn_sz = [m.bit_count() for m in dn]
     inv = _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov)
     classes = {}
@@ -305,23 +311,16 @@ def canonical_order_matrix(n, leq_fn):
         classes.setdefault(inv[a], []).append(a)
     groups = [classes[k] for k in sorted(classes)]
     best = None
+    weight = [0] * n
+    powers = [1 << (n - 1 - j) for j in range(n)]
+    get = weight.__getitem__
     for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
         sigma = [x for part in parts for x in part]
-        rows = []
-        tie = best is not None  # every row so far equals best's
-        for si in sigma:
-            up_si = up[si]
-            row = 0
-            for sj in sigma:
-                row = row << 1 | up_si >> sj & 1
-            if tie:
-                if row > best[len(rows)]:
-                    break
-                tie = row == best[len(rows)]
-            rows.append(row)
-        else:
-            if not tie:
-                best = rows
+        for x, w in zip(sigma, powers):
+            weight[x] = w
+        rows = [sum(map(get, above[si])) for si in sigma]
+        if best is None or rows < best:
+            best = rows
     code = 0
     for row in best:
         code = code << n | row
@@ -333,7 +332,7 @@ def canonical_form(lat):
     """Permutation-invariant byte string, injective up to isomorphism."""
     if lat.n > ISO_BUDGET:
         raise BudgetExceeded(f"canonical_form limited to n <= {ISO_BUDGET}")
-    return canonical_order_matrix(lat.n, lat.leq)
+    return canonical_order_matrix(lat.n, lat.up_bits)
 
 
 def are_isomorphic(l1, l2):

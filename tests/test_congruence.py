@@ -4,6 +4,7 @@ import pytest
 
 from conergy import algebra as alg
 from conergy import congruence as cg
+from conergy import energy as en
 from conergy import enumeration as em
 from conergy import lattice as lt
 from conergy import partition as pt
@@ -182,6 +183,55 @@ def test_all_congruences_matches_perspectivity_route():
         )
 
 
+def count_route_lattices():
+    yield from (lat for n in range(1, 9) for lat in em.all_lattices(n))
+    yield lt.chain(12)
+    yield glued(lt.named("N5"), lt.named("B4"), lt.chain(3))
+    yield glued(lt.named("M3"), lt.named("N5"), lt.named("B4"), lt.chain(3))
+
+
+def test_energy_count_matches_member_route():
+    for lat in count_route_lattices():
+        con = cg.all_congruences(lat)
+        want = sorted(en.combinatorial_energy(m) for m in con.members)
+        got = cg.congruence_energies(lat)
+        assert sorted(got) == want
+        assert sum(got) == en.congruence_energy(con)
+        assert len(got) == len(con)
+
+
+def test_cover_labels_are_principal_congruences():
+    # label t stands for one cover congruence con(y, x), a different one
+    # for each t, and below[t] is its order among them
+    for lat in count_route_lattices():
+        below, labels = cg.cover_labels(lat)
+        named = {}
+        for (y, x), t in labels.items():
+            con = cg.principal_congruence(lat, y, x)
+            assert named.setdefault(t, con) == con
+        assert sorted(named) == list(range(len(below)))
+        assert set(named.values()) == set(cg.join_irreducibles(lat))
+        for t, mask in enumerate(below):
+            for s in range(len(below)):
+                strictly = s != t and pt.leq(named[s], named[t])
+                assert bool(mask >> s & 1) == strictly
+
+
+def all_rows_closure(lat, a, b):
+    """Oracle: con(a, b) closed under every row of the join and meet
+    tables, 2n translations."""
+    return cg.translation_closure(lat.n, lat.join_table + lat.meet_table, [(a, b)])
+
+
+def test_irreducible_translations_give_the_same_closure():
+    for n in range(1, 7):
+        for lat in em.all_lattices(n):
+            assert len(lat.translations) < 2 * n
+            for a in range(n):
+                for b in range(a, n):
+                    assert cg.principal_congruence(lat, a, b) == all_rows_closure(lat, a, b)
+
+
 def test_all_congruences_reaches_each_member_once(monkeypatch):
     # one join per non-bottom member, so the budget counts members, not
     # repeats of them
@@ -297,9 +347,12 @@ def test_join_closure_budget(monkeypatch):
     # Con(chain 5) has 16 members and the free 4-element algebra Bell(4) = 15
     monkeypatch.setattr(cg, "CON_BUDGET", 16)
     assert len(cg.all_congruences(lt.chain(5))) == 16
+    assert len(cg.congruence_energies(lt.chain(5))) == 16
     monkeypatch.setattr(cg, "CON_BUDGET", 15)
     with pytest.raises(BudgetExceeded):
         cg.all_congruences(lt.chain(5))
+    with pytest.raises(BudgetExceeded):
+        cg.congruence_energies(lt.chain(5))
     assert len(alg.all_congruences_alg(alg.FiniteAlgebra(4, ()))) == 15
     monkeypatch.setattr(cg, "CON_BUDGET", 14)
     with pytest.raises(BudgetExceeded):

@@ -11,10 +11,11 @@ from conergy import enumeration as em
 from conergy import lattice as lt
 from conergy.errors import BudgetExceeded, DomainError
 
-KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
+KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
 
 
-def test_counts_match_known_sequence():
+def test_counts_match_known_sequence(monkeypatch):
+    monkeypatch.setenv(em.BUDGET_ENV, str(max(KNOWN_COUNTS)))
     for n, want in KNOWN_COUNTS.items():
         assert len(em.all_lattices(n)) == want
 
@@ -76,8 +77,11 @@ def test_canonical_form_matches_predicate_oracle(monkeypatch):
     fast = lt.canonical_order_matrix
     sizes = []
 
-    def checked(n, leq_fn):
-        got = fast(n, leq_fn)
+    def checked(n, up):
+        def leq_fn(a, b):
+            return bool(up[a] >> b & 1)
+
+        got = fast(n, up)
         assert got == predicate_canonical_order_matrix(n, leq_fn)
         sizes.append(n)
         return got

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conergy import enumeration as em
 from conergy import lattice as lt
 from conergy.errors import (
     BudgetExceeded,
@@ -98,6 +99,71 @@ def test_antichain_counts():
     assert lt.count_two_element_antichains(lt.named("B4")) == 1
     assert lt.count_two_element_antichains(lt.named("N5")) == 2
     assert lt.count_two_element_antichains(lt.named("M3")) == 3
+    for n in range(1, 8):
+        for lat in em.all_lattices(n):
+            pairs = sum(
+                1
+                for a in range(n)
+                for b in range(a + 1, n)
+                if not lat.leq(a, b) and not lat.leq(b, a)
+            )
+            assert lt.count_two_element_antichains(lat) == pairs
+
+
+def scanned_tables(n, up, dn):
+    """Oracle: the join of a and b is the z among their upper bounds with
+    every upper bound above it, found by scanning the bits (dually for
+    the meet)."""
+    join_t = [[0] * n for _ in range(n)]
+    meet_t = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            ub = up[a] & up[b]
+            js = [z for z in range(n) if ub >> z & 1 and ub & ~up[z] == 0]
+            if not js:
+                raise NotALattice(f"elements {a} and {b} have no unique join")
+            lb = dn[a] & dn[b]
+            gs = [z for z in range(n) if lb >> z & 1 and lb & ~dn[z] == 0]
+            if not gs:
+                raise NotALattice(f"elements {a} and {b} have no unique meet")
+            join_t[a][b] = join_t[b][a] = js[0]
+            meet_t[a][b] = meet_t[b][a] = gs[0]
+    return tuple(map(tuple, join_t)), tuple(map(tuple, meet_t))
+
+
+def order_rows(n, covers):
+    up = lt._closure_from_covers(n, covers)
+    dn = [sum(1 << a for a in range(n) if up[a] >> b & 1) for b in range(n)]
+    return up, dn
+
+
+def test_tables_by_lookup_match_the_bit_scan():
+    for n in range(1, 8):
+        for lat in em.all_lattices(n):
+            want = scanned_tables(n, lat.up_bits, lat.dn_bits)
+            assert lt._tables_from_order(n, lat.up_bits, lat.dn_bits) == want
+            assert (lat.join_table, lat.meet_table) == want
+
+
+def test_tables_reject_what_the_bit_scan_rejects():
+    # 1 and 2 have the two minimal upper bounds 3 and 4; no top; no bottom;
+    # a bowtie, where 0 and 1 have neither a join nor a meet
+    posets = [
+        (6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)], "join"),
+        (3, [(0, 1), (0, 2)], "join"),
+        (3, [(1, 0), (2, 0)], "meet"),
+        (4, [(0, 2), (0, 3), (1, 2), (1, 3)], "join"),
+    ]
+    for n, covers, what in posets:
+        up, dn = order_rows(n, covers)
+        with pytest.raises(NotALattice) as want:
+            scanned_tables(n, up, dn)
+        with pytest.raises(NotALattice) as got:
+            lt._tables_from_order(n, up, dn)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"have no unique {what}")
+        with pytest.raises(NotALattice):
+            lt.from_covers(n, covers)
 
 
 def test_glued_sum():
