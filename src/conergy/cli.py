@@ -16,7 +16,7 @@ from . import energy as en
 from . import enumeration as enum_mod
 from . import lattice as lt
 from . import partition as pt
-from .errors import BudgetExceeded, ConergyError, MalformedInput
+from .errors import BudgetExceeded, ConergyError, DomainError, MalformedInput
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -167,8 +167,14 @@ def cmd_enumerate(args):
     return EXIT_COUNTEREXAMPLE if bad else EXIT_OK
 
 
+def _at_least_one(n, what):
+    if n < 1:
+        raise DomainError(f"{what} must be >= 1, got {n}")
+    return n
+
+
 def cmd_table(args):
-    ns = list(range(1, args.max_n + 1))
+    ns = list(range(1, _at_least_one(args.max_n, "--max-n") + 1))
     bounds = [ct.equ_energy_bound(n) for n in ns]
     if args.format == "text":
         wid = max(len(str(b)) for b in bounds) + 2
@@ -291,7 +297,7 @@ SUITES = {
 
 def cmd_verify(args):
     fn, default_n = SUITES[args.suite]
-    ok, details = fn(args.n if args.n is not None else default_n)
+    ok, details = fn(_at_least_one(default_n if args.n is None else args.n, "--n"))
     _emit({"suite": args.suite, "ok": ok, "details": details}, args.out)
     return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 

@@ -48,15 +48,19 @@ def g_pn(k):
     return val
 
 
+def _stirling_row(n):
+    """[S2(n, 0), ..., S2(n, n)]: one row of the Stirling triangle."""
+    row = [1, 0]  # S2(0, 0), padded
+    for m in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m + 1)] + [0]
+    return row[:-1]
+
+
 def stirling2(n, k):
     """Number of partitions of an n-set into exactly k blocks."""
     if n < 1 or not 1 <= k <= n:
         raise DomainError(f"stirling2 needs 1 <= k <= n, got n={n}, k={k}")
-    row = [1, 0]  # S2(0, 0), padded
-    for m in range(1, n + 1):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m + 1)] + [0]
-        row[0] = 0
-    return row[k]
+    return _stirling_row(n)[k]
 
 
 def bell(n):
@@ -76,7 +80,7 @@ def bell2(n):
     """2-Bell number: sum over k of k * S2(n, k)."""
     if n < 1:
         raise DomainError(f"bell2 needs n >= 1, got {n}")
-    return sum(k * stirling2(n, k) for k in range(1, n + 1))
+    return sum(k * s for k, s in enumerate(_stirling_row(n)))
 
 
 def equ_energy_bound(n):

@@ -5,14 +5,21 @@ Generation grows one element at a time along a linear extension.  Every
 prefix of a linear extension of a lattice is an order ideal, hence a meet
 semilattice, so it suffices to extend a meet semilattice by a new element
 whose down-set keeps greatest lower bounds intact; adding the final top
-element turns the semilattice into a lattice.  Prefixes are held as packed
-down and up bit rows and deduplicated by poset canonical form at every
-level, which keeps the search tree tiny.  At the last level the top is
+element turns the semilattice into a lattice.  Each prefix carries its
+packed down and up bit rows, its lower covers and its automorphism group
+to its children, so the canonical labelling rebuilds none of them.  Two
+tests drop duplicate children before any canonical form is taken: all
+but the least of the sibling down-sets in one orbit of the parent's
+automorphisms, and a child whose
+new element is not a maximal element of greatest invariant (see
+``_keyed_lattices`` for why no class is lost).  The rest are deduplicated
+by poset canonical form at every level.  At the last level the top is
 appended before the canonical form is taken: adding a top is a bijection
 from (n-1)-element meet semilattices onto n-element lattices, so the key
-is already the lattice's canonical form, and a Lattice is built only for
-the one representative kept per class.  ``extremal_report`` counts CE and
-|Con| from the down-sets of J (``congruence.congruence_energies``).
+is already the lattice's canonical form, and a Lattice is built from each
+key in its canonical labelling, once per class.  ``extremal_report``
+counts CE and |Con| from the down-sets of J
+(``congruence.congruence_energies``).
 
 An independent labeled-poset oracle (enumerate all naturally labeled
 posets, filter the lattice property) guards completeness at small sizes.
@@ -27,7 +34,7 @@ from . import lattice as lt
 from .errors import BudgetExceeded, DomainError
 
 DEFAULT_BUDGET = 8
-BUDGET_CAP = 10
+BUDGET_CAP = 11
 BUDGET_ENV = "CONERGY_BUDGET_N"
 
 
@@ -86,8 +93,45 @@ def all_lattices(n):
     return [lt.chain(1)] if n == 1 else [lat for _, lat in _keyed_lattices(n)]
 
 
+def _bits(mask):
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _up_rows_from_code(code):
+    """The up rows of the poset whose canonical code is ``code``, in the
+    canonical labelling: bit (i, j) of the n*n matrix is i <= j."""
+    n = code[0]
+    matrix = int.from_bytes(code[1:], "big")
+    rows = [matrix >> (n * (n - 1 - i)) & ((1 << n) - 1) for i in range(n)]
+    return [int(format(row, f"0{n}b")[::-1], 2) for row in rows]
+
+
 def _keyed_lattices(n):
-    """(canonical form, lattice) for every iso class of order n, sorted."""
+    """(canonical form, lattice) for every iso class of order n, sorted.
+
+    Each lattice is rebuilt from its key, so its labels are the canonical
+    ones.  A prefix is a meet semilattice P on 0..k-1 with its down rows,
+    up rows, lower-cover lists and automorphisms; a child P + x adds x = k
+    above the down-set ``mask``.  Before any canonical form is taken:
+
+    - a mask is dropped when an automorphism of P maps it to a smaller
+      mask, since masks in one orbit of Aut(P) give isomorphic children;
+    - a child is dropped unless x has the greatest (|down-set|, number of
+      lower covers) among the maximal elements of the child.
+
+    No class is lost.  Take any class, and let y be a maximal element of
+    greatest invariant in a member S of it.  S - y is a meet semilattice,
+    isomorphic to a kept parent P.  The image of the down-set of y under
+    that isomorphism, moved to the least mask in its orbit under Aut(P),
+    is a mask that P keeps, and its child is isomorphic to S with x in the
+    place of y, so x has the greatest invariant and the child passes the
+    filter.  The dictionary keyed by canonical form removes the duplicates
+    that are left.
+    """
     if n < 1:
         raise DomainError(f"all_lattices needs n >= 1, got {n}")
     budget = enumeration_budget()
@@ -96,24 +140,40 @@ def _keyed_lattices(n):
     if n <= 2:
         lat = lt.chain(n)
         return [(lt.canonical_form(lat), lat)]
-    level = {b"": ([1], [1])}  # canon -> (dn, up) rows of a 1-element prefix
+    level = [([1], [1], [[]], ((0,),))]  # (dn, up, lower covers, automorphisms)
     for k in range(1, n - 1):
         last = k == n - 2
+        new = 1 << k
         nxt = {}
-        for dn, up in level.values():
+        for dn, up, lower, autos in level:
+            maximal = [y for y in range(k) if up[y] == 1 << y]
+            rivals = [((dn[y].bit_count(), len(lower[y])), y) for y in maximal]
+            images = [[1 << b for b in g] for g in autos[1:]]
+            seen = set()  # masks come in increasing order: each orbit's least is kept
             for mask in _down_closed_subsets(dn, k):
+                if mask in seen:
+                    continue
+                elems = _bits(mask)
+                seen.update(sum([img[b] for b in elems]) for img in images)
+                x_lower = [a for a in elems if up[a] & mask == 1 << a]
+                x_inv = (mask.bit_count() + 1, len(x_lower))
+                if any(inv > x_inv for inv, y in rivals if not mask >> y & 1):
+                    continue
                 if not all(_has_greatest(dn, mask & dn[j]) for j in range(k)):
                     continue
-                up2 = [u | 1 << k if mask >> a & 1 else u for a, u in enumerate(up)]
-                up2.append(1 << k)
+                dn2 = dn + [mask | new]
+                up2 = [u | new if mask >> a & 1 else u for a, u in enumerate(up)] + [new]
+                lower2 = lower + [x_lower]
                 if last:  # append the top: the key is the lattice's canonical form
                     top = 1 << (n - 1)
+                    dn2.append(2 * top - 1)
                     up2 = [u | top for u in up2] + [top]
-                key = lt.canonical_order_matrix(len(up2), up2)
+                    lower2.append([y for y in maximal if not mask >> y & 1] + [k])
+                key, autos2 = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
                 if key not in nxt:
-                    nxt[key] = (dn + [mask | 1 << k], up2)
-        level = nxt
-    return sorted((key, lt.from_order_bits(n, up)) for key, (_, up) in level.items())
+                    nxt[key] = None if last else (dn2, up2, lower2, autos2)
+        level = list(nxt.values())
+    return sorted((key, lt.from_order_bits(n, _up_rows_from_code(key))) for key in nxt)
 
 
 def all_lattices_brute(n):

@@ -7,7 +7,8 @@ set iff a <= b.  All values are immutable after construction.  Covers,
 the join and meet tables and the canonical form all come from the rows:
 the join of a and b is the element whose up-set is up_bits[a] & up_bits[b]
 (one dict lookup, dually for the meet), and the canonical form takes the
-rows themselves, not an order predicate.
+rows and the lower covers themselves, not an order predicate, and finds
+the automorphism group on the way.
 """
 
 import itertools
@@ -278,10 +279,13 @@ def _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov):
     return inv
 
 
-def canonical_order_matrix(n, up):
+def canonical_order_matrix(n, up, dn, lower):
     """Minimal packed order matrix over all invariant-respecting
-    relabellings of the poset whose packed up rows are ``up`` (bit b of
-    ``up[a]`` set iff a <= b).
+    relabellings of a poset, and the poset's automorphisms.
+
+    The poset is given by its packed up rows (bit b of ``up[a]`` set iff
+    a <= b), its down rows (bit a of ``dn[b]`` set iff a <= b) and the
+    list of lower covers of each element; none of them is rebuilt here.
 
     A relabelling sigma lists the elements by new label; its code is the
     n*n-bit matrix whose bit (i, j), most significant first, is
@@ -289,28 +293,27 @@ def canonical_order_matrix(n, up):
     the elements above sigma[i], the weight 2^(n-1-j) of their new label j.
     Rows have n bits each, so comparing the row lists lexicographically
     compares the codes.
+
+    Every automorphism g keeps the invariants, so g o sigma is a candidate
+    with the same code as sigma, and two candidates with the same code
+    differ by an automorphism.  The optimal candidates are therefore one
+    coset of Aut(P): with sigma0 the first of them, each optimal tau gives
+    the automorphism sigma0[i] -> tau[i].  Returns (code, automorphisms),
+    each automorphism a tuple g with g[x] the image of x, identity first.
     """
     above = [[b for b in range(n) if row >> b & 1] for row in up]
-    dn = [0] * n
-    for a, elems in enumerate(above):
-        for b in elems:
-            dn[b] |= 1 << a
-    up_cov = [
-        [b for b in elems if b != a and (up[a] & dn[b]).bit_count() == 2]
-        for a, elems in enumerate(above)
-    ]
-    dn_cov = [[] for _ in range(n)]
-    for a, cov in enumerate(up_cov):
-        for b in cov:
-            dn_cov[b].append(a)
+    upper = [[] for _ in range(n)]
+    for b, cov in enumerate(lower):
+        for a in cov:
+            upper[a].append(b)
     up_sz = [len(elems) for elems in above]
     dn_sz = [m.bit_count() for m in dn]
-    inv = _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov)
+    inv = _refined_invariants(n, up_sz, dn_sz, upper, lower)
     classes = {}
     for a in range(n):
         classes.setdefault(inv[a], []).append(a)
     groups = [classes[k] for k in sorted(classes)]
-    best = None
+    ties = []
     weight = [0] * n
     powers = [1 << (n - 1 - j) for j in range(n)]
     get = weight.__getitem__
@@ -319,20 +322,29 @@ def canonical_order_matrix(n, up):
         for x, w in zip(sigma, powers):
             weight[x] = w
         rows = [sum(map(get, above[si])) for si in sigma]
-        if best is None or rows < best:
-            best = rows
+        if not ties or rows < best:
+            best, ties = rows, [sigma]
+        elif rows == best:
+            ties.append(sigma)
     code = 0
     for row in best:
         code = code << n | row
     nbytes = (n * n + 7) // 8
-    return bytes([n]) + code.to_bytes(nbytes, "big")
+    label = [0] * n  # label[x]: x's new label under the first optimal candidate
+    for i, x in enumerate(ties[0]):
+        label[x] = i
+    automorphisms = tuple(tuple([tau[i] for i in label]) for tau in ties)
+    return bytes([n]) + code.to_bytes(nbytes, "big"), automorphisms
 
 
 def canonical_form(lat):
     """Permutation-invariant byte string, injective up to isomorphism."""
     if lat.n > ISO_BUDGET:
         raise BudgetExceeded(f"canonical_form limited to n <= {ISO_BUDGET}")
-    return canonical_order_matrix(lat.n, lat.up_bits)
+    lower = [[] for _ in range(lat.n)]
+    for a, b in lat.covers:
+        lower[b].append(a)
+    return canonical_order_matrix(lat.n, lat.up_bits, lat.dn_bits, lower)[0]
 
 
 def are_isomorphic(l1, l2):

@@ -166,6 +166,24 @@ def test_order_zero_is_input_error(capsys, verb):
     assert err.startswith("input-error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "thm-b", "--n", "-3"],
+        ["verify", "--suite", "bounds", "--n", "-2"],
+        ["verify", "--suite", "aux", "--n", "0"],
+        ["table", "--max-n", "0", "--format", "text"],
+        ["table", "--max-n", "-1"],
+    ],
+)
+def test_size_below_one_is_input_error(capsys, argv):
+    # nothing would be checked or printed, so success would be vacuous
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input-error:") and "must be >= 1" in err
+
+
 def test_table_json(capsys):
     code, doc = run_json(capsys, ["table", "--max-n", "10"])
     assert code == cli.EXIT_OK

@@ -61,6 +61,21 @@ def test_bell2_enters_the_bound():
     assert 2 * 5 * ct.bell(5) - 2 * ct.bell2(5) == 218
 
 
+def test_bell2_from_one_row_matches_the_per_k_sum():
+    # S2(n, k) = k S2(n-1, k) + S2(n-1, k-1), one entry at a time
+    s2 = {(0, 0): 1}
+
+    def stirling(n, k):
+        if (n, k) not in s2:
+            s2[n, k] = 0 if n == 0 or k == 0 or k > n else k * stirling(n - 1, k) + stirling(n - 1, k - 1)
+        return s2[n, k]
+
+    for n in range(1, 61):
+        assert ct.bell2(n) == sum(k * stirling(n, k) for k in range(1, n + 1))
+        assert ct.bell2(n) == sum(k * ct.stirling2(n, k) for k in range(1, n + 1))
+        assert ct.bell2(n) == ct.bell(n + 1) - ct.bell(n)
+
+
 def test_bell_matches_partition_enumeration():
     for n in range(1, 10):
         parts = pt.all_partitions(n)

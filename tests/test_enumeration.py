@@ -72,24 +72,124 @@ def predicate_canonical_order_matrix(n, leq_fn):
     return bytes([n]) + best.to_bytes((n * n + 7) // 8, "big")
 
 
+def preserves_order(g, up):
+    n = len(up)
+    return all(
+        bool(up[g[a]] >> g[b] & 1) == bool(up[a] >> b & 1) for a in range(n) for b in range(n)
+    )
+
+
 def test_canonical_form_matches_predicate_oracle(monkeypatch):
     # every canonical form the generator asks for, prefixes included
     fast = lt.canonical_order_matrix
     sizes = []
 
-    def checked(n, up):
+    def checked(n, up, dn, lower):
         def leq_fn(a, b):
             return bool(up[a] >> b & 1)
 
-        got = fast(n, up)
+        got, autos = fast(n, up, dn, lower)
         assert got == predicate_canonical_order_matrix(n, leq_fn)
+        assert all(preserves_order(g, up) for g in autos)
         sizes.append(n)
-        return got
+        return got, autos
 
     monkeypatch.setattr(lt, "canonical_order_matrix", checked)
     for n in range(1, 9):
         assert len(em.all_lattices(n)) == KNOWN_COUNTS[n]
     assert set(sizes) == set(range(2, 9))
+
+
+def rows_of(up):
+    """Down rows and lower-cover lists of the poset with up rows ``up``."""
+    n = len(up)
+    dn = [sum(1 << a for a in range(n) if up[a] >> b & 1) for b in range(n)]
+    lower = [[a for a in range(n) if (up[a] & dn[b]).bit_count() == 2] for b in range(n)]
+    return dn, lower
+
+
+def unpruned_keys(n):
+    """Oracle: the generator with neither the automorphism nor the
+    deletion test.  Every valid mask of every kept prefix gets a canonical
+    form, and the first child of each class is kept."""
+    if n <= 2:
+        return [lt.canonical_form(lt.chain(n))]
+    level = {b"": [1]}  # canon -> up rows of a 1-element prefix
+    for k in range(1, n - 1):
+        last = k == n - 2
+        nxt = {}
+        for up in level.values():
+            dn, _ = rows_of(up)
+            for mask in em._down_closed_subsets(dn, k):
+                if not all(em._has_greatest(dn, mask & dn[j]) for j in range(k)):
+                    continue
+                up2 = [u | 1 << k if mask >> a & 1 else u for a, u in enumerate(up)]
+                up2.append(1 << k)
+                if last:
+                    top = 1 << (n - 1)
+                    up2 = [u | top for u in up2] + [top]
+                key, _ = lt.canonical_order_matrix(len(up2), up2, *rows_of(up2))
+                if key not in nxt:
+                    nxt[key] = up2
+        level = nxt
+    return sorted(level)
+
+
+def test_pruned_generator_keeps_every_class():
+    for n in range(1, 9):
+        assert [key for key, _ in em._keyed_lattices(n)] == unpruned_keys(n)
+
+
+def test_labelled_children_pass_both_pruning_tests(monkeypatch):
+    # each child the generator labels is P + x with x the highest label
+    # below the top, if any: x has the greatest (|down-set|, lower covers)
+    # among the maximal elements of the child, and its down-set in P is
+    # the least mask of its orbit under Aut(P)
+    fast = lt.canonical_order_matrix
+    for n in range(3, 8):
+        children = {}
+
+        def checked(size, up, dn, lower):
+            k = size - 1 - (size == n)  # the new element; the top comes after it
+            maximal = lower[n - 1] if size == n else [a for a in range(size) if up[a] == 1 << a]
+            invariant = [(dn[y].bit_count(), len(lower[y])) for y in maximal]
+            assert k in maximal and invariant[maximal.index(k)] == max(invariant)
+            parent = tuple(u & ((1 << k) - 1) for u in up[:k])
+            children.setdefault(parent, []).append(dn[k] & ~(1 << k))
+            return fast(size, up, dn, lower)
+
+        monkeypatch.setattr(lt, "canonical_order_matrix", checked)
+        assert len(em.all_lattices(n)) == KNOWN_COUNTS[n]
+        for parent, masks in children.items():
+            group = brute_automorphisms(parent)
+            assert len(set(masks)) == len(masks)
+            for mask in masks:
+                assert mask == min(sum(1 << g[b] for b in range(len(parent)) if mask >> b & 1) for g in group)
+
+
+def brute_automorphisms(up):
+    n = len(up)
+    return {g for g in itertools.permutations(range(n)) if preserves_order(g, up)}
+
+
+def test_automorphisms_are_the_order_automorphisms(monkeypatch):
+    # every prefix and lattice the generator labels, and every lattice
+    fast = lt.canonical_order_matrix
+    seen = []
+
+    def checked(n, up, dn, lower):
+        got, autos = fast(n, up, dn, lower)
+        assert autos[0] == tuple(range(n))
+        assert len(set(autos)) == len(autos)
+        assert set(autos) == brute_automorphisms(up)
+        seen.append(n)
+        return got, autos
+
+    monkeypatch.setattr(lt, "canonical_order_matrix", checked)
+    for n in range(1, 7):
+        for lat in em.all_lattices(n):
+            lt.canonical_form(lat)
+    assert set(seen) == set(range(1, 7))
 
 
 def test_generator_matches_brute_oracle():
@@ -224,6 +324,32 @@ def test_report_records_consistent():
         assert r.con_size == len(con)
         assert r.is_chain == lt.is_chain(lat)
         assert r.glued_b4 == (r.antichain_pairs == 1)
+
+
+def covers_from_code(code):
+    """The covers of the poset whose canonical code is ``code``: bit (i, j)
+    of the n*n matrix, most significant first, is i <= j."""
+    n = code[0]
+    matrix = int.from_bytes(code[1:], "big")
+
+    def leq(i, j):
+        return bool(matrix >> (n * n - 1 - (i * n + j)) & 1)
+
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and leq(i, j) and not any(leq(i, z) and leq(z, j) for z in range(n) if z not in (i, j))
+    )
+
+
+def test_records_are_labelled_by_their_key():
+    for n in range(1, 9):
+        for r in em.extremal_report(n).records:
+            assert r.covers == covers_from_code(bytes.fromhex(r.canon))
+            assert all(a < b for a, b in r.covers)  # bottom 0, top n - 1
+            lat = lt.from_covers(n, list(r.covers))
+            assert lt.canonical_form(lat).hex() == r.canon
 
 
 def test_report_deterministic_and_json_stable():
