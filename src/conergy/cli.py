@@ -190,12 +190,20 @@ def cmd_table(args):
 
 
 def suite_remark1(max_n):
+    """Claim (1) on the spectral definition: every congruence of every
+    lattice of order n <= max_n has a Jacobi energy equal to 2(n - blocks).
+    The spectral energy depends only on the partition, so the solver runs
+    once per distinct rep within one call; every member is still compared
+    and reported on its own."""
     details = []
     ok = True
+    spectral = {}
     for n in range(1, max_n + 1):
         for lat in enum_mod.all_lattices(n):
             for m in cg.all_congruences(lat).members:
-                se = en.spectral_energy(en.adjacency_of(m), 1e-12)
+                se = spectral.get(m.rep)
+                if se is None:
+                    se = spectral[m.rep] = en.spectral_energy(en.adjacency_of(m), 1e-12)
                 ce = en.combinatorial_energy(m)
                 if abs(se - ce) >= 1e-9:
                     ok = False
@@ -321,11 +329,13 @@ def cmd_oracle(args):
         details.append("congruence lattices match the brute-force filter")
     else:
         details.append("lattice/congruence oracles limited to n <= 6; skipped")
-    parts = pt.all_partitions(n)
-    if len(parts) != ct.bell(n):
+    count = blocks = 0
+    for p in pt.iter_partitions(n):
+        count += 1
+        blocks += pt.num_blocks(p)
+    if count != ct.bell(n):
         ok = False
-    details.append(f"partitions: {len(parts)} (bell {ct.bell(n)})")
-    blocks = sum(pt.num_blocks(p) for p in parts)
+    details.append(f"partitions: {count} (bell {ct.bell(n)})")
     if blocks != ct.bell2(n):
         ok = False
     details.append(f"block-weighted count: {blocks} (2-bell {ct.bell2(n)})")

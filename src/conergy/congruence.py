@@ -199,18 +199,31 @@ def _budget_check(members):
         raise BudgetExceeded(f"congruence lattice has more than {CON_BUDGET} members")
 
 
+def _pair_mask(p):
+    """The pairs p collapses as a bitmask: bit a * n + b for each a, b in a
+    common block, so p <= q iff p's mask lies inside q's."""
+    block = {}
+    for i, r in enumerate(p.rep):
+        block[r] = block.get(r, 0) | 1 << i
+    return sum(block[r] << i * p.n for i, r in enumerate(p.rep))
+
+
 def join_closure(n, generators):
     """The congruence lattice on n points generated by joins of the given
     congruences (the bottom included); raises BudgetExceeded as soon as it
     has more than CON_BUDGET members.  For algebras, whose Con need not be
     distributive."""
     jis = list(dict.fromkeys(generators))
+    gens = [(g, _pair_mask(g)) for g in jis]
     members = {pt.bottom(n), *jis}
     frontier = jis
     while frontier:
         fresh = []
         for f in frontier:
-            for g in jis:
+            f_pairs = _pair_mask(f)
+            for g, g_pairs in gens:
+                if g_pairs & ~f_pairs == 0:  # g <= f: f v g = f is known
+                    continue
                 h = pt.join(f, g)
                 if h not in members:
                     members.add(h)
@@ -407,10 +420,7 @@ def is_distributive(c):
     rep) order to collapse (a, b), the bit a * n + b of a pair mask."""
     principals, seen = [], 0
     for m in c.members:
-        block = {}
-        for i, r in enumerate(m.rep):
-            block[r] = block.get(r, 0) | 1 << i
-        pairs = sum(block[r] << i * c.host_n for i, r in enumerate(m.rep))
+        pairs = _pair_mask(m)
         if pairs & ~seen:
             principals.append(m)
             seen |= pairs

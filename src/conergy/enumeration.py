@@ -177,8 +177,11 @@ def _keyed_lattices(n):
 
 
 def all_lattices_brute(n):
-    """Completeness oracle: every naturally labeled poset with a final top,
-    filtered down to lattices, deduplicated by canonical form."""
+    """Completeness oracle: every naturally labeled poset with 0 its only
+    minimal element and a final top, filtered down to lattices and
+    deduplicated by canonical form.  Every lattice has such a labelling, so
+    elements 1..n-2 take only nonempty down-closed masks and n-1 the full
+    one; nothing else of the generator is used."""
     if n == 1:
         return [lt.chain(1)]
     found = {}
@@ -196,7 +199,7 @@ def all_lattices_brute(n):
             if key not in found:
                 found[key] = lat
             return
-        for mask in range(1 << k):
+        for mask in [(1 << k) - 1] if k == n - 1 else range(1, 1 << k):
             closed = True
             m = mask
             while m:

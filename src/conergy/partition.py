@@ -143,25 +143,37 @@ def join_pairs(n, pairs):
     return union_find(list(range(n)), pairs)
 
 
-def all_partitions(n):
+def iter_partitions(n):
     """Every set partition of {0..n-1}, once, in restricted-growth-string
-    lexicographic order (so the list is deterministic)."""
+    lexicographic order, one at a time.  The size checks are made at the
+    call, before the first partition."""
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
     if n > ALL_PARTITIONS_BUDGET:
         raise BudgetExceeded(f"all_partitions limited to n <= {ALL_PARTITIONS_BUDGET}")
-    out = []
+    return _restricted_growth_strings(n)
+
+
+def _restricted_growth_strings(n):
+    """The successor of a restricted growth string raises its last entry
+    that is at most the largest one before it and zeroes what follows."""
     rgs = [0] * n
-
-    def rec(i, used):
-        if i == n:
-            out.append(from_labels(rgs))
+    most = [0] * n  # most[i]: the largest of rgs[0..i]
+    while True:
+        yield from_labels(rgs)
+        i = n - 1
+        while i and rgs[i] > most[i - 1]:
+            i -= 1
+        if not i:
             return
-        for v in range(used + 1):
-            rgs[i] = v
-            rec(i + 1, max(used, v + 1))
+        rgs[i] += 1
+        most[i] = max(most[i - 1], rgs[i])
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            most[j] = most[i]
 
-    if n == 1:
-        return [bottom(1)]
-    rec(1, 1)
-    return out
+
+def all_partitions(n):
+    """Every set partition of {0..n-1} as a list, in the order of
+    iter_partitions (so the list is deterministic)."""
+    return list(iter_partitions(n))

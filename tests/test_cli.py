@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conergy import cli
 from conergy import congruence as cg
+from conergy import energy as en
 from conergy import enumeration as em
 from conergy import lattice as lt
 from conergy import partition as pt
@@ -216,6 +217,50 @@ def test_verify_suites_pass(capsys, suite, n):
     assert code == cli.EXIT_OK
     assert doc["ok"] is True
     assert doc["suite"] == suite
+
+
+def congruence_reps(max_n):
+    """The rep of each congruence of each lattice of order n <= max_n, one
+    entry per occurrence, from the brute-force congruence filter."""
+    return [
+        m.rep
+        for n in range(1, max_n + 1)
+        for lat in em.all_lattices(n)
+        for m in cg.brute_force_congruences(lat).members
+    ]
+
+
+def test_remark1_compares_every_member_and_solves_each_partition_once(monkeypatch):
+    occurrences = congruence_reps(6)
+    distinct = set(occurrences)
+    # the most frequent partition that is neither the bottom nor the top
+    nontrivial = [rep for rep in distinct if 1 < len(set(rep)) < len(rep)]
+    bad = max(nontrivial, key=lambda rep: (occurrences.count(rep), rep))
+    bad_partition = pt.Partition(len(bad), bad)
+    bad_adjacency = en.adjacency_of(bad_partition)
+    real = en.spectral_energy
+    calls = []
+
+    def spectral_energy(m, tol):
+        calls.append(m)
+        return real(m, tol) + (1.0 if m == bad_adjacency else 0.0)
+
+    monkeypatch.setattr(en, "spectral_energy", spectral_energy)
+    ok, details = cli.suite_remark1(6)
+    assert ok is False
+    failures = [d for d in details if " rep=" in d]
+    want = occurrences.count(bad)
+    assert want > 1
+    line = (
+        f"n={len(bad)} rep={bad}: spectral {real(bad_adjacency) + 1.0} "
+        f"vs exact {en.combinatorial_energy(bad_partition)}"
+    )
+    assert failures == [line] * want
+    assert len(calls) == len(set(calls)) == len(distinct)
+    # the cache lives for one call only: a second call solves every partition again
+    first = len(calls)
+    cli.suite_remark1(6)
+    assert len(calls) == 2 * first
 
 
 def test_oracle(capsys):

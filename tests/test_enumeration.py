@@ -193,10 +193,60 @@ def test_automorphisms_are_the_order_automorphisms(monkeypatch):
 
 
 def test_generator_matches_brute_oracle():
-    for n in range(1, 7):
+    for n in range(1, 9):
         fast = [lt.canonical_form(l) for l in em.all_lattices(n)]
         brute = [lt.canonical_form(l) for l in em.all_lattices_brute(n)]
         assert fast == brute
+
+
+def naturally_labelled_posets(n):
+    """The down-set rows of every naturally labelled poset on n elements,
+    any down-closed mask at every step."""
+    posets = []
+
+    def rec(dn, k):
+        if k == n:
+            posets.append(tuple(dn))
+            return
+        for mask in range(1 << k):
+            if all(dn[j] & ~mask == 0 for j in range(k) if mask >> j & 1):
+                rec(dn + [mask | 1 << k], k + 1)
+
+    rec([1], 1)
+    return posets
+
+
+def lattice_keys(posets):
+    found = set()
+    for dn in posets:
+        try:
+            lat = em._lattice_from_dn(list(dn))
+        except lt.NotALattice:
+            continue
+        full = (1 << len(dn)) - 1
+        if lat.up_bits[lat.bottom] == full and lat.dn_bits[lat.top] == full:
+            found.add(lt.canonical_form(lat))
+    return sorted(found)
+
+
+def test_bounded_brute_walk_matches_the_unbounded_walk(monkeypatch):
+    built = []
+    real = em._lattice_from_dn
+
+    def recording(dn):
+        built.append(tuple(dn))
+        return real(dn)
+
+    for n in range(1, 7):
+        posets = naturally_labelled_posets(n)
+        monkeypatch.setattr(em, "_lattice_from_dn", recording)
+        bounded = [lt.canonical_form(l) for l in em.all_lattices_brute(n)]
+        monkeypatch.setattr(em, "_lattice_from_dn", real)
+        assert bounded == lattice_keys(posets)
+        if n > 1:  # the walk builds exactly the posets with 0 least and n - 1 greatest
+            full = (1 << n) - 1
+            assert sorted(built) == sorted(dn for dn in posets if all(d & 1 for d in dn) and dn[-1] == full)
+        built.clear()
 
 
 def test_every_output_really_is_a_lattice_of_size_n():

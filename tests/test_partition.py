@@ -126,6 +126,27 @@ def test_all_partitions_matches_brute_enumeration():
         assert len(got) == len(set(got))
 
 
+def growth_string(p):
+    """The restricted growth string of p: each element's block numbered by
+    the order of the blocks' least elements."""
+    labels = {}
+    return tuple(labels.setdefault(r, len(labels)) for r in p.rep)
+
+
+def test_iter_partitions_streams_the_list_in_growth_string_order():
+    for n in range(1, 8):
+        streamed = list(pt.iter_partitions(n))
+        assert streamed == pt.all_partitions(n)
+        strings = [growth_string(p) for p in streamed]
+        assert strings == sorted(set(strings))
+        assert len(strings) == len(brute_partitions(n))
+    # the size checks are made at the call, before the first partition
+    with pytest.raises(BudgetExceeded):
+        pt.iter_partitions(pt.ALL_PARTITIONS_BUDGET + 1)
+    with pytest.raises(OutOfRange):
+        pt.iter_partitions(0)
+
+
 def test_covering_criterion():
     # p covered by q in Equ  <=>  p <= q and q has one block fewer
     for n in range(2, 6):
