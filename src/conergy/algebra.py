@@ -2,12 +2,15 @@
 
 A congruence is generated by ``congruence.translation_closure`` over the
 unary translations (all but one argument frozen to constants), the same
-union-find closure that lattices use.  Con(A) need not be distributive, so
-it is the join-closure of the principal congruences, built by
-``congruence.join_closure`` under its CON_BUDGET, with the translations
-listed once per algebra.  ``ce_bound_check`` tests distributivity of Con(A)
-for real, by ``congruence.is_distributive``'s down-set count, since for an
-algebra it is a hypothesis, not a theorem.
+union-find closure that lattices use.  ``principal_congruences`` finds
+every Cg(a, b) at once, from one transitive closure of the translation
+images on bitmasks of pairs, with one union-find per distinct result
+(after Freese, "Computing congruences efficiently", 2008).  Con(A) need
+not be distributive, so it is the join-closure of the principal
+congruences, built by ``congruence.join_closure`` over the
+join-irreducible ones under its CON_BUDGET.  ``ce_bound_check`` tests
+distributivity of Con(A) for real, by ``congruence.is_distributive``'s
+down-set count, since for an algebra it is a hypothesis, not a theorem.
 """
 
 import itertools
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 from . import congruence as cg
 from . import counting as ct
 from . import energy as en
+from . import partition as pt
 from .errors import BudgetExceeded, OutOfRange, SizeMismatch
 
 MAX_ARITY = 3
@@ -87,17 +91,47 @@ def congruence_closure(alg, pairs):
     return cg.translation_closure(alg.n, unary_translations(alg), pairs)
 
 
-def all_congruences_alg(alg):
-    """Con(A): join-closure of the principal congruences, all closed under
-    one list of translations."""
+def principal_congruences(alg):
+    """{(a, b): Cg(a, b)} for every a < b, from one closure on pairs.
+
+    The n(n-1)/2 unordered pairs are the bits of a mask, each pair's row
+    holding its images {t(a), t(b)} under the unary translations t.  A
+    Warshall pass over the rows leaves in row (a, b) every pair reachable
+    from it, a set of pairs closed under the translations; the equivalence
+    it generates is then closed under them too, so it is Cg(a, b).  One
+    union-find runs per distinct row."""
     n = alg.n
-    if n > ALG_BUDGET:
-        raise BudgetExceeded(f"all_congruences_alg limited to n <= {ALG_BUDGET}")
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    index = {}
+    for k, (a, b) in enumerate(pairs):
+        index[a, b] = index[b, a] = k
     trs = unary_translations(alg)
-    jis = [
-        cg.translation_closure(n, trs, [(a, b)]) for a in range(n) for b in range(a + 1, n)
-    ]
-    return cg.join_closure(n, jis)
+    reach = []
+    for k, (a, b) in enumerate(pairs):
+        row = 1 << k
+        for t in trs:
+            if t[a] != t[b]:
+                row |= 1 << index[t[a], t[b]]
+        reach.append(row)
+    for k in range(len(reach)):
+        bit, row_k = 1 << k, reach[k]
+        for i, row in enumerate(reach):
+            if row & bit:
+                reach[i] = row | row_k
+    congruences = {}
+    for row in reach:
+        if row not in congruences:
+            congruences[row] = pt.join_pairs(
+                n, (pair for k, pair in enumerate(pairs) if row >> k & 1)
+            )
+    return {pair: congruences[row] for pair, row in zip(pairs, reach)}
+
+
+def all_congruences_alg(alg):
+    """Con(A): join-closure of the principal congruences."""
+    if alg.n > ALG_BUDGET:
+        raise BudgetExceeded(f"all_congruences_alg limited to n <= {ALG_BUDGET}")
+    return cg.join_closure(alg.n, principal_congruences(alg).values())
 
 
 def lattice_as_algebra(lat):

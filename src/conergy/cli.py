@@ -6,6 +6,7 @@ error, 3 budget exceeded.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -343,6 +344,7 @@ def cmd_oracle(args):
     return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="conergy", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
@@ -354,48 +356,43 @@ def build_parser():
 
     sp = sub.add_parser("energy", help="congruence energy of a lattice")
     add_input(sp)
-    sp.set_defaults(fn=cmd_energy)
 
     sp = sub.add_parser("conlat", help="full congruence lattice of a lattice")
     add_input(sp)
-    sp.set_defaults(fn=cmd_conlat)
 
     sp = sub.add_parser("quotient", help="quotient lattice by a congruence")
     add_input(sp)
     sp.add_argument("--by", required=True, help="congruence rep array, e.g. [0,0,2]")
-    sp.set_defaults(fn=cmd_quotient)
 
     sp = sub.add_parser("enumerate", help="extremal report over all iso classes")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--emit", action="store_true", help="include cover lists per class")
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_enumerate)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("--suite", choices=sorted(SUITES), required=True)
     sp.add_argument("--n", type=int, help="override the suite's size budget")
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("table", help="equivalence-lattice energy bound table")
     sp.add_argument("--max-n", type=int, default=10)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_table)
 
     sp = sub.add_parser("oracle", help="brute-force cross-checks")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_oracle)
 
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on each call, not stored in the cached parser, so that a
+    # cmd_* function replaced on the module is the one that runs
+    command = globals()[f"cmd_{args.verb}"]
     try:
-        return args.fn(args)
+        return command(args)
     except BudgetExceeded as exc:
         print(f"budget-exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -21,9 +21,12 @@ labels on bit rows, by Day's D relation on the join-irreducible elements
 of L, so the count makes no partition at all.
 
 Algebras, whose Con need not be distributive, use the generic
-``join_closure``.  Every route stops with BudgetExceeded once Con passes
-CON_BUDGET members.  Perspectivity reachability over prime intervals and a
-brute-force filter over all partitions stay as cross-check oracles.
+``join_closure``: it drops every generator that is the join of those
+strictly below it and closes the rest under joins on rep tuples, with a
+pair bitmask per member for the order test.  Every route stops with
+BudgetExceeded once Con passes CON_BUDGET members.  Perspectivity
+reachability over prime intervals and a brute-force filter over all
+partitions stay as cross-check oracles.
 
 Distributivity of a congruence lattice is decided by Birkhoff's count:
 a finite lattice is distributive iff it has as many elements as its
@@ -166,7 +169,7 @@ def translation_closure(n, translations, pairs):
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
-    return pt.union_find(list(range(n)), pairs, translations)
+    return pt.Partition(n, pt.union_find(list(range(n)), pairs, translations))
 
 
 def principal_congruence(lat, a, b):
@@ -199,38 +202,58 @@ def _budget_check(members):
         raise BudgetExceeded(f"congruence lattice has more than {CON_BUDGET} members")
 
 
-def _pair_mask(p):
-    """The pairs p collapses as a bitmask: bit a * n + b for each a, b in a
-    common block, so p <= q iff p's mask lies inside q's."""
+def _pair_mask(rep):
+    """The pairs the partition with rep tuple ``rep`` collapses, as a
+    bitmask: bit a * n + b for each a, b in a common block, so p <= q iff
+    p's mask lies inside q's."""
+    n = len(rep)
     block = {}
-    for i, r in enumerate(p.rep):
+    for i, r in enumerate(rep):
         block[r] = block.get(r, 0) | 1 << i
-    return sum(block[r] << i * p.n for i, r in enumerate(p.rep))
+    return sum(block[r] << i * n for i, r in enumerate(rep))
 
 
 def join_closure(n, generators):
     """The congruence lattice on n points generated by joins of the given
     congruences (the bottom included); raises BudgetExceeded as soon as it
     has more than CON_BUDGET members.  For algebras, whose Con need not be
-    distributive."""
-    jis = list(dict.fromkeys(generators))
-    gens = [(g, _pair_mask(g)) for g in jis]
-    members = {pt.bottom(n), *jis}
-    frontier = jis
+    distributive.
+
+    A generator that is the join of the generators strictly below it (the
+    bottom among them) is itself a join of the others, so it is dropped
+    and the closure runs over the join-irreducible ones.  The closure
+    works on rep tuples, each with its pair mask for the <= test, and
+    builds each member's Partition once, at the end."""
+    masks = {g.rep: _pair_mask(g.rep) for g in generators}
+    gens = []
+    for g, g_pairs in masks.items():
+        below = [h for h, h_pairs in masks.items() if h_pairs & ~g_pairs == 0 and h != g]
+        lower = pt.union_find(list(range(n)), _rep_pairs(below))
+        if lower != g:
+            gens.append((g_pairs, _rep_pairs([g])))
+    bottom = tuple(range(n))
+    members = {bottom: _pair_mask(bottom)}
+    frontier = [bottom]
     while frontier:
         fresh = []
         for f in frontier:
-            f_pairs = _pair_mask(f)
-            for g, g_pairs in gens:
+            f_pairs = members[f]
+            for g_pairs, g_links in gens:
                 if g_pairs & ~f_pairs == 0:  # g <= f: f v g = f is known
                     continue
-                h = pt.join(f, g)
+                h = pt.union_find(list(f), g_links)
                 if h not in members:
-                    members.add(h)
+                    members[h] = _pair_mask(h)
                     fresh.append(h)
                     _budget_check(members)
         frontier = fresh
-    return CongruenceLattice(n, _sorted_members(members))
+    return CongruenceLattice(n, _sorted_members(pt.Partition(n, h) for h in members))
+
+
+def _rep_pairs(reps):
+    """The pairs (i, rep[i]) with i not its own rep, over the rep tuples:
+    they generate the join of the partitions."""
+    return [(i, r) for rep in reps for i, r in enumerate(rep) if r != i]
 
 
 def _strict_below(jis):
@@ -420,7 +443,7 @@ def is_distributive(c):
     rep) order to collapse (a, b), the bit a * n + b of a pair mask."""
     principals, seen = [], 0
     for m in c.members:
-        pairs = _pair_mask(m)
+        pairs = _pair_mask(m.rep)
         if pairs & ~seen:
             principals.append(m)
             seen |= pairs

@@ -49,20 +49,12 @@ def enumeration_budget():
 
 
 def _down_closed_subsets(dn, k):
-    """All nonempty order ideals of the k-element prefix."""
-    out = []
-    for mask in range(1, 1 << k):
-        closed = True
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            if dn[j] & ~mask:
-                closed = False
-                break
-            m &= m - 1
-        if closed:
-            out.append(mask)
-    return out
+    """All nonempty order ideals of the k-element prefix, ascending.  The
+    prefix is numbered along a linear extension, so its down-sets grow as
+    in ``congruence._down_set_steps``; sorting keeps the least mask of
+    each automorphism orbit first."""
+    below = [dn[j] & ~(1 << j) for j in range(k)]
+    return sorted(mask for _, _, mask in cg._down_set_steps(below))
 
 
 def _has_greatest(dn, subset):

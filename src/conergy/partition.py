@@ -97,13 +97,16 @@ def meet(p, q):
 def union_find(parent, pairs, translations=()):
     """Least equivalence containing the forest ``parent`` (each element
     pointing at a smaller one or at itself) and the pairs, all in range,
-    and closed under the given translations (maps as tuples of length n).
+    and closed under the given translations (maps as tuples of length n),
+    as its canonical rep tuple.
 
     A root is always the least element of its class.  Each merge of two
     roots puts their images under every translation on the worklist, so
     the closure costs O(n * len(translations)) finds: the merged root pairs
     generate the equivalence, and a translation preserves it iff it
-    preserves each generating pair.
+    preserves each generating pair.  Merges and path halving keep every
+    parent pointer at a smaller element, so one forward pass of
+    ``parent[i] = parent[parent[i]]`` leaves each element at its root.
     """
 
     def find(x):
@@ -123,7 +126,9 @@ def union_find(parent, pairs, translations=()):
                 x, y = t[lo], t[hi]
                 if x != y:
                     work.append((x, y))
-    return Partition(len(parent), tuple(find(i) for i in range(len(parent))))
+    for i in range(len(parent)):
+        parent[i] = parent[parent[i]]
+    return tuple(parent)
 
 
 def join(p, q):
@@ -131,7 +136,8 @@ def join(p, q):
     so only q's non-trivial pairs are added."""
     if p.n != q.n:
         raise SizeMismatch(f"universe sizes differ: {p.n} vs {q.n}")
-    return union_find(list(p.rep), [(i, r) for i, r in enumerate(q.rep) if r != i])
+    rep = union_find(list(p.rep), [(i, r) for i, r in enumerate(q.rep) if r != i])
+    return Partition(p.n, rep)
 
 
 def join_pairs(n, pairs):
@@ -140,7 +146,7 @@ def join_pairs(n, pairs):
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
-    return union_find(list(range(n)), pairs)
+    return Partition(n, union_find(list(range(n)), pairs))
 
 
 def iter_partitions(n):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from conergy import algebra as alg
 from conergy import congruence as cg
 from conergy import counting as ct
 from conergy import energy as en
+from conergy import enumeration as em
 from conergy import lattice as lt
 from conergy import partition as pt
 from conergy.errors import BudgetExceeded, OutOfRange, SizeMismatch
@@ -90,18 +92,61 @@ def test_all_congruences_alg_matches_lattice_route():
         assert got.members == cg.all_congruences(lat).members
 
 
-def test_all_congruences_alg_matches_brute_filter():
-    samples = [
+def brute_filter_samples():
+    return [
         alg.FiniteAlgebra(4, ()),
         xor_algebra(),
         constants_algebra(4),
         alg.lattice_as_algebra(lt.named("N5")),
         alg.lattice_as_algebra(lt.chain(5)),
     ]
-    for a in samples:
+
+
+def test_all_congruences_alg_matches_brute_filter():
+    for a in brute_filter_samples():
         got = {p.rep for p in alg.all_congruences_alg(a).members}
         want = {p.rep for p in pt.all_partitions(a.n) if brute_compatible(a, p)}
         assert got == want
+
+
+def random_algebra(rng):
+    n = rng.randint(2, 7)
+    arities = rng.choice([(1,), (2,), (3,), (1, 1), (1, 2), (1, 3)])
+    return alg.FiniteAlgebra(
+        n,
+        tuple(
+            alg.Operation(f"f{i}", a, tuple(rng.randrange(n) for _ in range(n**a)))
+            for i, a in enumerate(arities)
+        ),
+    )
+
+
+def unary_big_algebra():
+    # x1 -> x0, x2 -> x1, every other point fixed: |Con| = 609
+    return alg.FiniteAlgebra(8, (alg.Operation("f", 1, (0, 0, 1, 3, 4, 5, 6, 7)),))
+
+
+def test_principal_congruences_match_one_closure_per_pair():
+    rng = random.Random(31337)
+    samples = [random_algebra(rng) for _ in range(300)]
+    samples += [alg.lattice_as_algebra(lat) for n in range(1, 7) for lat in em.all_lattices(n)]
+    samples.append(unary_big_algebra())
+    for a in samples:
+        got = alg.principal_congruences(a)
+        assert sorted(got) == [(x, y) for x in range(a.n) for y in range(x + 1, a.n)]
+        for (x, y), con in got.items():
+            assert con == alg.congruence_closure(a, [(x, y)])
+
+
+def test_join_closure_ignores_reducible_generators():
+    for a in brute_filter_samples():
+        principal = list(alg.principal_congruences(a).values())
+        con = cg.join_closure(a.n, principal)
+        want = {p.rep for p in pt.all_partitions(a.n) if brute_compatible(a, p)}
+        assert {p.rep for p in con.members} == want
+        reducible = [pt.bottom(a.n)] + [pt.join(p, q) for p in principal for q in principal]
+        assert cg.join_closure(a.n, principal + reducible) == con
+        assert cg.join_closure(a.n, list(con.members)) == con
 
 
 def test_budget():
@@ -123,8 +168,7 @@ def test_xor_algebra_con_is_diamond():
 
 
 def test_unary_big_algebra_con_holds_a_diamond():
-    # x1 -> x0, x2 -> x1, every other point fixed
-    big = alg.FiniteAlgebra(8, (alg.Operation("f", 1, (0, 0, 1, 3, 4, 5, 6, 7)),))
+    big = unary_big_algebra()
     con = alg.all_congruences_alg(big)
     assert len(con) == 609
     assert not cg.is_distributive(con)

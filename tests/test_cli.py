@@ -340,3 +340,21 @@ def test_fuzz_quotient_by(by):
         cli.EXIT_OK,
         cli.EXIT_INPUT,
     )
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    table = ["table", "--max-n", "4"]
+    args = cli.build_parser.__wrapped__().parse_args(table)  # a parser of its own
+    want = (cli.cmd_table(args),) + tuple(capsys.readouterr())
+    assert run(capsys, ["energy", "--builder", "b4"])[0] == 0
+    assert run(capsys, table) == want
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--max-n", "four"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run(capsys, table) == want
+    # the command is found on the module at each call, so a wrapper put in
+    # place after the parser was built still runs
+    monkeypatch.setattr(cli, "cmd_table", lambda args: 7)
+    assert cli.main(table) == 7

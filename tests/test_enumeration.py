@@ -421,3 +421,30 @@ def test_ce_and_con_size_are_incomparable_orders():
     assert ce_c == 8 and len(con_c) == 4
     assert ce_w == 10 and len(con_w) == 2
     assert ce_c < ce_w and len(con_c) > len(con_w)
+
+
+def scanned_down_sets(dn, k):
+    """Oracle: every nonempty subset of the k-element prefix tested for
+    closure, ascending."""
+    return [
+        mask
+        for mask in range(1, 1 << k)
+        if all(dn[j] & ~mask == 0 for j in range(k) if mask >> j & 1)
+    ]
+
+
+def test_down_closed_subsets_match_the_subset_scan(monkeypatch):
+    # every prefix the generator reaches up to order 8
+    grow = em._down_closed_subsets
+    prefixes = []
+
+    def recorded(dn, k):
+        prefixes.append((list(dn), k))
+        return grow(dn, k)
+
+    monkeypatch.setattr(em, "_down_closed_subsets", recorded)
+    for n in range(3, 9):
+        assert len(em.all_lattices(n)) == KNOWN_COUNTS[n]
+    assert prefixes
+    for dn, k in prefixes:
+        assert grow(dn, k) == scanned_down_sets(dn, k)

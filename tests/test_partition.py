@@ -165,3 +165,25 @@ def test_covering_criterion():
 def test_serialized_rep_example():
     p = pt.from_labels(["a", "a", "b", "b", "c"])
     assert list(p.rep) == [0, 0, 2, 2, 4]
+
+
+def test_union_find_reps_match_component_labelling():
+    # a random forest (each element pointing at a smaller one or at itself)
+    # plus random pairs, against a naive labelling of the components
+    rng = random.Random(4242)
+    for _ in range(500):
+        n = rng.randint(1, 10)
+        parent = [rng.randrange(i + 1) for i in range(n)]
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        edges = [(i, p) for i, p in enumerate(parent)] + pairs
+        labels = list(range(n))
+        changed = True
+        while changed:
+            changed = False
+            for a, b in edges:
+                low = min(labels[a], labels[b])
+                if labels[a] != low or labels[b] != low:
+                    labels[a] = labels[b] = low
+                    changed = True
+        want = pt.from_labels(labels).rep
+        assert pt.union_find(list(parent), pairs) == want
