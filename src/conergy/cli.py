@@ -26,14 +26,25 @@ EXIT_BUDGET = 3
 
 EQU_BOUND_TABLE = (0, 2, 10, 46, 218, 1088, 5752, 32226, 190990, 1194310)
 
+# Both grow about as n^3 with big integers.  On a 2-vCPU host with Python
+# 3.11, `table --max-n 200` takes 0.4 s and `verify --suite aux --n 100`
+# 0.3 s; `table --max-n 300` and `aux --n 200` take 1.2 s each.
+TABLE_BUDGET = 200
+AUX_BUDGET = 100
+
 
 def _build_one(spec):
     s = spec.strip().lower()
     if s.startswith("chain:"):
-        return lt.chain(int(s.split(":", 1)[1]))
+        size = s.split(":", 1)[1]
+        try:
+            n = int(size)
+        except ValueError:
+            raise MalformedInput(f"chain size must be an integer, got {size!r}") from None
+        return lt.chain(n)
     if s in ("b4", "m3", "n5"):
         return lt.named(s.upper())
-    raise ValueError(f"unknown builder part {spec!r}")
+    raise MalformedInput(f"unknown builder part {spec!r}")
 
 
 def parse_builder(spec):
@@ -83,7 +94,7 @@ def load_lattice(args):
     if getattr(args, "input", None):
         with open(args.input) as fh:
             return lt.from_covers(*load_json(fh.read(), args.input))
-    raise ValueError("provide an input file or --builder")
+    raise MalformedInput("provide an input file or --builder")
 
 
 def _emit(doc, out=None):
@@ -174,8 +185,15 @@ def _at_least_one(n, what):
     return n
 
 
+def _within(n, budget, what):
+    if n > budget:
+        raise BudgetExceeded(f"{what} limited to <= {budget}, got {n}")
+    return n
+
+
 def cmd_table(args):
-    ns = list(range(1, _at_least_one(args.max_n, "--max-n") + 1))
+    max_n = _within(_at_least_one(args.max_n, "--max-n"), TABLE_BUDGET, "--max-n")
+    ns = list(range(1, max_n + 1))
     bounds = [ct.equ_energy_bound(n) for n in ns]
     if args.format == "text":
         wid = max(len(str(b)) for b in bounds) + 2
@@ -270,6 +288,7 @@ def suite_bounds(max_n):
 
 
 def suite_aux(max_n=20):
+    _within(max_n, AUX_BUDGET, "aux --n")
     details = []
     ok = True
     for n in range(3, max_n + 1):

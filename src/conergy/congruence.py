@@ -1,24 +1,24 @@
 """Congruences of finite lattices.
 
 The congruence checker verifies that blocks are intervals and that the two
-quadrilateral closure conditions (one and its dual) hold.  A principal
-congruence is one ``translation_closure``, a union-find closed under the
-translations x -> x v c for join-irreducible c and x -> x ^ c for
-meet-irreducible c (``Lattice.translations``), for any pair; algebras use
-the same routine with their own translations.  Con(L) is distributive
-(Funayama-Nakayama), the down-sets O(J) of its join-irreducibles J, the
-congruences of covering pairs (after Freese, "Computing congruences
-efficiently", 2008).  ``all_congruences`` builds each member with one
-partition join and keeps its down-set mask beside it.
+quadrilateral closure conditions (one and its dual) hold.  Con(L) is
+distributive (Funayama-Nakayama), the down-sets O(J) of its
+join-irreducibles J, the congruences of covering pairs (after Freese,
+"Computing congruences efficiently", 2008).  ``cover_labels`` finds J, its
+order and the label con(y, x) in J of each cover y < x on bit rows, by
+Day's D relation on the join-irreducible elements of L, with no partition.
+Since blocks are intervals, the member of down-set D is the equivalence
+generated by the covers whose label is in D, so ``all_congruences`` builds
+each member with one partition join and keeps its down-set mask beside it.
+``principal_congruence`` closes a pair under every row of the join and
+meet tables with ``translation_closure``, the union-find that algebras run
+over their own translations; it is the oracle for the labels.
 
 ``congruence_energies`` does not build Con at all.  By the paper's claim
 (1) the energy of a member theta is 2 (n - |L/theta|), and since blocks
 are intervals, n - |L/theta| counts the x with a lower cover y < x and
-y theta x.  Label each cover y < x by con(y, x), a member of J, and let
-S_x be the labels of x's lower covers: the member of down-set D has
-energy 2 #{x : D meets S_x}.  ``cover_labels`` finds J, its order and the
-labels on bit rows, by Day's D relation on the join-irreducible elements
-of L, so the count makes no partition at all.
+y theta x.  Let S_x be the labels of x's lower covers: the member of
+down-set D has energy 2 #{x : D meets S_x}, a count on bitmasks.
 
 Algebras, whose Con need not be distributive, use the generic
 ``join_closure``: it drops every generator that is the join of those
@@ -30,8 +30,9 @@ partitions stay as cross-check oracles.
 
 Distributivity of a congruence lattice is decided by Birkhoff's count:
 a finite lattice is distributive iff it has as many elements as its
-join-irreducibles have down-sets, and those are grown by the same
-breadth-first routine that builds Con(L).  Booleanness of a distributive
+join-irreducibles have down-sets.  Its join-irreducibles are found by
+``join_closure``'s generator filter, and their down-sets are grown by the
+same breadth-first routine that builds Con(L).  Booleanness of a distributive
 one is decided by counting too, since a finite distributive lattice is
 boolean iff it has 2^(number of atoms) elements.
 """
@@ -61,7 +62,8 @@ class CongruenceLattice:
     host_n: int
     members: tuple  # Partition tuple, sorted by (heq, rep)
     # from all_congruences: down_sets[i] is the set of join-irreducibles
-    # below members[i], a bitmask over J in (heq, rep) order; else None
+    # below members[i], a bitmask over J numbered as cover_labels numbers
+    # it; else None
     down_sets: tuple = field(default=None, compare=False)
 
     def __len__(self):
@@ -173,28 +175,10 @@ def translation_closure(n, translations, pairs):
 
 
 def principal_congruence(lat, a, b):
-    """Least congruence collapsing (a, b): the closure of the pair under
-    the lattice's join-irreducible join rows and meet-irreducible meet
-    rows, which generate every join and meet translation."""
-    return translation_closure(lat.n, lat.translations, [(a, b)])
-
-
-def join_irreducibles(lat):
-    """The join-irreducible members of Con(L), the distinct principal
-    congruences of covering pairs, sorted by (heq, rep), which is a linear
-    extension of their order.
-
-    Only the covers j_* < j below join-irreducible elements j of L are
-    closed: for any cover a < b, a minimal j <= b with j not <= a is
-    join-irreducible, with j v a = b and j ^ a = j_*, so con(a, b) =
-    con(j_*, j).
-    """
-    lower = {}
-    for a, b in lat.covers:
-        lower.setdefault(b, []).append(a)
-    return _sorted_members(
-        principal_congruence(lat, low[0], j) for j, low in lower.items() if len(low) == 1
-    )
+    """Least congruence collapsing (a, b), for any pair: the closure of the
+    pair under every row of the join and meet tables, the translations
+    x -> x v c and x -> x ^ c."""
+    return translation_closure(lat.n, lat.join_table + lat.meet_table, [(a, b)])
 
 
 def _budget_check(members):
@@ -213,24 +197,32 @@ def _pair_mask(rep):
     return sum(block[r] << i * n for i, r in enumerate(rep))
 
 
+def _join_irreducible_generators(n, masks):
+    """The (rep, pair mask) of each generator, given as {rep: pair mask},
+    that is not the join of the generators strictly below it (the bottom
+    among them).  Every dropped generator is a join of the kept ones, so
+    they generate the same joins."""
+    kept = []
+    for g, g_pairs in masks.items():
+        below = [h for h, h_pairs in masks.items() if h_pairs & ~g_pairs == 0 and h != g]
+        if pt.union_find(list(range(n)), _rep_pairs(below)) != g:
+            kept.append((g, g_pairs))
+    return kept
+
+
 def join_closure(n, generators):
     """The congruence lattice on n points generated by joins of the given
     congruences (the bottom included); raises BudgetExceeded as soon as it
     has more than CON_BUDGET members.  For algebras, whose Con need not be
     distributive.
 
-    A generator that is the join of the generators strictly below it (the
-    bottom among them) is itself a join of the others, so it is dropped
-    and the closure runs over the join-irreducible ones.  The closure
-    works on rep tuples, each with its pair mask for the <= test, and
-    builds each member's Partition once, at the end."""
+    The closure runs over the join-irreducible generators only, on rep
+    tuples, each with its pair mask for the <= test, and builds each
+    member's Partition once, at the end."""
     masks = {g.rep: _pair_mask(g.rep) for g in generators}
-    gens = []
-    for g, g_pairs in masks.items():
-        below = [h for h, h_pairs in masks.items() if h_pairs & ~g_pairs == 0 and h != g]
-        lower = pt.union_find(list(range(n)), _rep_pairs(below))
-        if lower != g:
-            gens.append((g_pairs, _rep_pairs([g])))
+    gens = [
+        (g_pairs, _rep_pairs([g])) for g, g_pairs in _join_irreducible_generators(n, masks)
+    ]
     bottom = tuple(range(n))
     members = {bottom: _pair_mask(bottom)}
     frontier = [bottom]
@@ -256,12 +248,13 @@ def _rep_pairs(reps):
     return [(i, r) for rep in reps for i, r in enumerate(rep) if r != i]
 
 
-def _strict_below(jis):
-    """below[t]: bitmask of the s with jis[s] < jis[t], for congruences in
-    (heq, rep) order, a linear extension of their order."""
-    return [
-        sum(1 << s for s in range(t) if pt.leq(jis[s], j)) for t, j in enumerate(jis)
-    ]
+def _inclusion_order(masks):
+    """The distinct bitmasks sorted by size, a linear extension of
+    inclusion, and below[t]: the bitmask of the s whose mask lies strictly
+    inside mask t."""
+    masks = sorted(set(masks), key=lambda c: (c.bit_count(), c))
+    below = [sum(1 << s for s in range(t) if masks[s] & ~c == 0) for t, c in enumerate(masks)]
+    return masks, below
 
 
 def _down_set_steps(below):
@@ -284,15 +277,21 @@ def all_congruences(lat):
     its down-set mask.
 
     Con(L) is distributive (Funayama-Nakayama), so D -> join(D) is a
-    bijection from the down-sets of J onto Con(L), and each member costs
-    one partition join.  Raises BudgetExceeded as soon as Con has more
-    than CON_BUDGET members.
+    bijection from the down-sets of J onto Con(L).  Blocks are intervals,
+    so the member of D is generated by the covers whose label is in D, and
+    each member costs one partition join: the member of D minus its top
+    label t, joined with the covers labelled t.  Raises BudgetExceeded as
+    soon as Con has more than CON_BUDGET members.
     """
-    jis = join_irreducibles(lat)
+    below, labels = cover_labels(lat)
+    links = [[] for _ in below]
+    for cover, t in labels.items():
+        links[t].append(cover)
+    gens = [pt.join_pairs(lat.n, covers) for covers in links]
     members = [pt.bottom(lat.n)]
     masks = [0]
-    for i, t, mask in _down_set_steps(_strict_below(jis)):
-        members.append(pt.join(members[i], jis[t]))
+    for i, t, mask in _down_set_steps(below):
+        members.append(pt.join(members[i], gens[t]))
         masks.append(mask)
         _budget_check(members)
     pairs = sorted(zip(members, masks), key=lambda pm: (pt.heq(pm[0]), pm[0].rep))
@@ -336,11 +335,8 @@ def cover_labels(lat):
         for p in jis:
             if reach[p] >> k & 1:
                 reach[p] |= reach[k]
-    classes = sorted({reach[j] for j in jis}, key=lambda c: (c.bit_count(), c))
+    classes, below = _inclusion_order(reach[j] for j in jis)
     index = {c: t for t, c in enumerate(classes)}
-    below = [
-        sum(1 << s for s in range(t) if classes[s] & ~c == 0) for t, c in enumerate(classes)
-    ]
     labels = {}
     for y, x in lat.covers:
         cand = dn[x] & ~dn[y] & jmask
@@ -439,24 +435,18 @@ def is_distributive(c):
 
     Every member is the join of the principal congruences below it, so J
     is the set of principal members that are not the join of the principal
-    members strictly below them.  con(a, b) is the first member in (heq,
-    rep) order to collapse (a, b), the bit a * n + b of a pair mask."""
-    principals, seen = [], 0
+    members strictly below them, which ``join_closure``'s generator filter
+    keeps.  con(a, b) is the first member in (heq, rep) order to collapse
+    (a, b), the bit a * n + b of a pair mask."""
+    principals, seen = {}, 0
     for m in c.members:
         pairs = _pair_mask(m.rep)
         if pairs & ~seen:
-            principals.append(m)
+            principals[m.rep] = pairs
             seen |= pairs
-    jis = []
-    for i, p in enumerate(principals):
-        lower = pt.bottom(c.host_n)
-        for q in principals[:i]:
-            if pt.leq(q, p):
-                lower = pt.join(lower, q)
-        if lower != p:
-            jis.append(p)
+    jis = _join_irreducible_generators(c.host_n, principals)
     count = 1
-    for _ in _down_set_steps(_strict_below(jis)):
+    for _ in _down_set_steps(_inclusion_order(mask for _, mask in jis)[1]):
         count += 1
         if count > len(c):
             return False

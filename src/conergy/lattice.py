@@ -13,7 +13,6 @@ the automorphism group on the way.
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     BudgetExceeded,
@@ -64,25 +63,6 @@ class Lattice:
     def top(self):
         full = (1 << self.n) - 1
         return next(a for a in range(self.n) if self.dn_bits[a] == full)
-
-    @cached_property
-    def translations(self):
-        """The table rows x -> x v c for join-irreducible c and x -> x ^ c
-        for meet-irreducible c, bottom and top left out.  Every c is the
-        join of the join-irreducibles below it, so x -> x v c is a
-        composition of the rows kept (the identity for the bottom, a
-        constant for the top), and dually for meets: an equivalence closed
-        under these rows is closed under every join and meet translation.
-        Built once per lattice."""
-        lower = [0] * self.n
-        upper = [0] * self.n
-        for a, b in self.covers:
-            upper[a] += 1
-            lower[b] += 1
-        return tuple(
-            [self.join_table[c] for c in range(self.n) if lower[c] == 1 and upper[c]]
-            + [self.meet_table[c] for c in range(self.n) if upper[c] == 1 and lower[c]]
-        )
 
     def upper_covers(self, a):
         return sorted(b for (x, b) in self.covers if x == a)
@@ -194,8 +174,9 @@ def from_covers(n, covers):
 
 
 def chain(n):
-    """The n-element chain 0 < 1 < ... < n-1."""
-    return from_covers(n, [(i, i + 1) for i in range(n - 1)])
+    """The n-element chain 0 < 1 < ... < n-1.  The covers are a generator,
+    so a size past LATTICE_BUDGET is refused before any is made."""
+    return from_covers(n, ((i, i + 1) for i in range(n - 1)))
 
 
 # N5 labels: 0 < P < Q < 4 on the long side, 0 < A < 4 on the short side.

@@ -14,6 +14,7 @@ from conergy import energy as en
 from conergy import enumeration as em
 from conergy import lattice as lt
 from conergy import partition as pt
+from conergy.errors import MalformedInput
 
 
 def run(capsys, argv):
@@ -34,8 +35,9 @@ def test_parse_builder():
     g = cli.parse_builder("glue:chain:2,b4,chain:3")
     assert g.n == 2 + 4 + 3 - 2
     assert lt.count_two_element_antichains(g) == 1
-    with pytest.raises(ValueError):
-        cli.parse_builder("cube:3")
+    for spec in ("cube:3", "chain:x", "glue:b4,chain:2.5"):
+        with pytest.raises(MalformedInput):
+            cli.parse_builder(spec)
 
 
 def test_energy_b4(capsys):
@@ -152,11 +154,32 @@ def test_lattice_budget_exit(tmp_path, capsys):
     # both are refused before any closure or table is built
     path = tmp_path / "huge.json"
     path.write_text('{"n": 100000, "covers": []}')
-    for argv in (["energy", "--builder", "chain:3000"], ["energy", str(path)]):
+    for argv in (
+        ["energy", "--builder", "chain:3000"],
+        ["energy", "--builder", "chain:1000000000"],  # its covers alone: > 100 GB
+        ["energy", str(path)],
+    ):
         code, out, err = run(capsys, argv)
         assert code == cli.EXIT_BUDGET
         assert out == ""
         assert err.startswith("budget-exceeded: lattices")
+
+
+@pytest.mark.parametrize(
+    "verb,size",
+    [("table", cli.TABLE_BUDGET), ("verify", cli.AUX_BUDGET)],
+)
+def test_table_and_aux_budget_exit(capsys, verb, size):
+    # both grow about as n^3; the budget itself still runs, and past it
+    # nothing is computed
+    flags = ["--max-n"] if verb == "table" else ["--suite", "aux", "--n"]
+    code, _, err = run(capsys, [verb, *flags, str(size)])
+    assert code == cli.EXIT_OK and err == ""
+    for past in (size + 1, 100000):
+        code, out, err = run(capsys, [verb, *flags, str(past)])
+        assert code == cli.EXIT_BUDGET
+        assert out == ""
+        assert err.startswith("budget-exceeded:")
 
 
 @pytest.mark.parametrize("verb", ["enumerate", "oracle"])
@@ -210,6 +233,7 @@ def test_table_text(capsys):
         ("pentagon", 8),
         ("bounds", 6),
         ("aux", 12),
+        ("aux", 30),
     ],
 )
 def test_verify_suites_pass(capsys, suite, n):

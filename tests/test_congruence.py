@@ -175,12 +175,9 @@ def test_all_congruences_matches_perspectivity_route():
     for lat in lats:
         want = perspectivity_route(lat)
         assert cg.all_congruences(lat) == want
-        # join_irreducibles closes only the covers below join-irreducibles
-        # of L, yet finds every distinct cover congruence
+        # the closure under the table rows finds every cover congruence
         covers = {prime_congruence_oracle(lat, a, b) for a, b in lat.covers}
-        assert cg.join_irreducibles(lat) == tuple(
-            sorted(covers, key=lambda p: (pt.heq(p), p.rep))
-        )
+        assert {cg.principal_congruence(lat, a, b) for a, b in lat.covers} == covers
 
 
 def count_route_lattices():
@@ -210,26 +207,30 @@ def test_cover_labels_are_principal_congruences():
             con = cg.principal_congruence(lat, y, x)
             assert named.setdefault(t, con) == con
         assert sorted(named) == list(range(len(below)))
-        assert set(named.values()) == set(cg.join_irreducibles(lat))
+        assert set(named.values()) == {cg.principal_congruence(lat, a, b) for a, b in lat.covers}
         for t, mask in enumerate(below):
             for s in range(len(below)):
                 strictly = s != t and pt.leq(named[s], named[t])
                 assert bool(mask >> s & 1) == strictly
 
 
-def all_rows_closure(lat, a, b):
-    """Oracle: con(a, b) closed under every row of the join and meet
-    tables, 2n translations."""
-    return cg.translation_closure(lat.n, lat.join_table + lat.meet_table, [(a, b)])
-
-
-def test_irreducible_translations_give_the_same_closure():
-    for n in range(1, 7):
-        for lat in em.all_lattices(n):
-            assert len(lat.translations) < 2 * n
-            for a in range(n):
-                for b in range(a, n):
-                    assert cg.principal_congruence(lat, a, b) == all_rows_closure(lat, a, b)
+def test_cover_labels_and_the_generator_filter_find_the_same_join_irreducibles():
+    # the lattice route, Day's D relation on bit rows, against the algebra
+    # route: the principal congruences of L as an algebra, less those that
+    # are the join of the ones strictly below them
+    lats = [lat for n in range(1, 7) for lat in em.all_lattices(n)] + [lt.chain(8)]
+    for lat in lats:
+        below, labels = cg.cover_labels(lat)
+        # member t of J is generated by the covers labelled t or below t
+        by_label = [
+            pt.join_pairs(lat.n, [c for c, s in labels.items() if s == t or below[t] >> s & 1])
+            for t in range(len(below))
+        ]
+        principals = alg.principal_congruences(alg.lattice_as_algebra(lat)).values()
+        kept = cg._join_irreducible_generators(
+            lat.n, {p.rep: cg._pair_mask(p.rep) for p in principals}
+        )
+        assert sorted(rep for rep, _ in kept) == sorted(p.rep for p in by_label)
 
 
 def test_all_congruences_reaches_each_member_once(monkeypatch):

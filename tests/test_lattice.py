@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -66,6 +67,18 @@ def test_from_covers_errors():
     assert lt.from_covers(k, wide).n == k
     with pytest.raises(BudgetExceeded):
         lt.from_covers(k + 1, [])
+
+
+def test_chain_past_the_budget_is_refused_before_its_covers_are_built():
+    # two million covers would take hundreds of megabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            lt.chain(2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_chain():
