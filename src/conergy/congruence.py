@@ -6,7 +6,9 @@ distributive (Funayama-Nakayama), the down-sets O(J) of its
 join-irreducibles J, the congruences of covering pairs (after Freese,
 "Computing congruences efficiently", 2008).  ``cover_labels`` finds J, its
 order and the label con(y, x) in J of each cover y < x on bit rows, by
-Day's D relation on the join-irreducible elements of L, with no partition.
+Day's D relation on the join-irreducible elements of L, with no partition
+and no join table: each join is one lookup among the up-sets, so the same
+routine runs on a Lattice and on the rows the enumeration holds.
 Since blocks are intervals, the member of down-set D is the equivalence
 generated by the covers whose label is in D, so ``all_congruences`` builds
 each member with one partition join and keeps its down-set mask beside it.
@@ -18,7 +20,8 @@ over their own translations; it is the oracle for the labels.
 (1) the energy of a member theta is 2 (n - |L/theta|), and since blocks
 are intervals, n - |L/theta| counts the x with a lower cover y < x and
 y theta x.  Let S_x be the labels of x's lower covers: the member of
-down-set D has energy 2 #{x : D meets S_x}, a count on bitmasks.
+down-set D has energy 2 #{x : D meets S_x}.  With hit[t] the bitmask of
+the x with t in S_x, that is one OR and one popcount per member.
 
 Algebras, whose Con need not be distributive, use the generic
 ``join_closure``: it drops every generator that is the join of those
@@ -65,6 +68,8 @@ class CongruenceLattice:
     # below members[i], a bitmask over J numbered as cover_labels numbers
     # it; else None
     down_sets: tuple = field(default=None, compare=False)
+    # from join_closure: pair_masks[i] is _pair_mask of members[i]; else None
+    pair_masks: tuple = field(default=None, compare=False)
 
     def __len__(self):
         return len(self.members)
@@ -81,13 +86,16 @@ class CongruenceLattice:
         return pt.top(self.host_n)
 
     def atoms(self):
-        """Members covering the bottom of Con."""
-        non_bottom = [m for m in self.members if pt.num_blocks(m) < self.host_n]
-        out = []
-        for m in non_bottom:
-            if not any(p != m and pt.leq(p, m) for p in non_bottom):
-                out.append(m)
-        return out
+        """Members covering the bottom of Con: p <= q iff p's pair mask lies
+        inside q's, and the bottom's mask has one bit per point."""
+        non_bottom = [
+            (m, pairs) for m, pairs in zip(self.members, _member_masks(self))
+            if pairs.bit_count() > self.host_n
+        ]
+        return [
+            m for m, pairs in non_bottom
+            if not any(q != pairs and q & ~pairs == 0 for _, q in non_bottom)
+        ]
 
     def to_json_dict(self):
         return {
@@ -98,6 +106,13 @@ class CongruenceLattice:
 
 def _sorted_members(members):
     return tuple(sorted(set(members), key=lambda p: (pt.heq(p), p.rep)))
+
+
+def _sorted_with(members, data):
+    """The members sorted by (heq, rep), and the data aligned with them, in
+    the same order."""
+    pairs = sorted(zip(members, data), key=lambda md: (pt.heq(md[0]), md[0].rep))
+    return tuple(m for m, _ in pairs), tuple(d for _, d in pairs)
 
 
 def is_congruence(lat, p):
@@ -197,6 +212,14 @@ def _pair_mask(rep):
     return sum(block[r] << i * n for i, r in enumerate(rep))
 
 
+def _member_masks(c):
+    """The pair mask of each member of c: those join_closure kept, else
+    made now."""
+    if c.pair_masks is not None:
+        return c.pair_masks
+    return tuple(_pair_mask(m.rep) for m in c.members)
+
+
 def _join_irreducible_generators(n, masks):
     """The (rep, pair mask) of each generator, given as {rep: pair mask},
     that is not the join of the generators strictly below it (the bottom
@@ -218,7 +241,8 @@ def join_closure(n, generators):
 
     The closure runs over the join-irreducible generators only, on rep
     tuples, each with its pair mask for the <= test, and builds each
-    member's Partition once, at the end."""
+    member's Partition once, at the end.  The masks stay on the result, for
+    ``is_distributive`` and ``atoms``."""
     masks = {g.rep: _pair_mask(g.rep) for g in generators}
     gens = [
         (g_pairs, _rep_pairs([g])) for g, g_pairs in _join_irreducible_generators(n, masks)
@@ -239,7 +263,8 @@ def join_closure(n, generators):
                     fresh.append(h)
                     _budget_check(members)
         frontier = fresh
-    return CongruenceLattice(n, _sorted_members(pt.Partition(n, h) for h in members))
+    parts, masks = _sorted_with([pt.Partition(n, h) for h in members], members.values())
+    return CongruenceLattice(n, parts, pair_masks=masks)
 
 
 def _rep_pairs(reps):
@@ -294,17 +319,22 @@ def all_congruences(lat):
         members.append(pt.join(members[i], gens[t]))
         masks.append(mask)
         _budget_check(members)
-    pairs = sorted(zip(members, masks), key=lambda pm: (pt.heq(pm[0]), pm[0].rep))
-    return CongruenceLattice(
-        lat.n, tuple(m for m, _ in pairs), tuple(mask for _, mask in pairs)
-    )
+    return CongruenceLattice(lat.n, *_sorted_with(members, masks))
 
 
 def cover_labels(lat):
     """(below, labels): the join-irreducibles of Con(L) numbered along a
     linear extension, below[t] the bitmask of those strictly below member
     t, and labels[(y, x)] = t for each cover y < x of L with con(y, x)
-    member t.  Works on bit rows, with no partition.
+    member t.  Works on bit rows, with no partition (see ``_label_rows``)."""
+    below, labels = _label_rows(*lt._rows(lat))
+    return below, {(y, x): t for y, x, t in labels}
+
+
+def _label_rows(n, up, dn, lower):
+    """(below, labels) of the lattice with up rows ``up``, down rows ``dn``
+    and lower-cover lists ``lower``: below as in ``cover_labels``, and one
+    (y, x, t) in labels for each cover y < x, t the label of con(y, x).
 
     For join-irreducible elements p, q of L, with lower covers p_*, q_*,
     write p D q when p <= q v x and p not <= q_* v x for some x.  Collapsing
@@ -313,23 +343,24 @@ def cover_labels(lat):
     in a finite lattice con(p_*, p) <= con(q_*, q) iff p reaches q along D
     (A. Day; Freese, Jezek and Nation, "Free Lattices", 1995, ch. 2).  So
     each p gets the bitmask of the p' with con(p'_*, p') <= con(p_*, p),
-    and the distinct bitmasks, ordered by inclusion, are J(Con L).  A cover
-    y < x has con(y, x) = con(j_*, j) for a minimal join-irreducible j <= x
-    with j not <= y, since then j v y = x and j ^ y = j_*.
+    and the distinct bitmasks, ordered by inclusion, are J(Con L).  The
+    common upper bounds of q and x are the up-set of q v x, so each join
+    is one lookup of up[q] & up[x] among the up-sets, with no join table.
+
+    A cover y < x has con(y, x) = con(j_*, j) for a minimal
+    join-irreducible j <= x with j not <= y, since then j v y = x and
+    j ^ y = j_*.  The first such j in a list of J sorted by down-set size
+    is minimal.
     """
-    n, dn, join_t = lat.n, lat.dn_bits, lat.join_table
-    lower = [0] * n
-    star = [0] * n
-    for a, b in lat.covers:
-        lower[b] += 1
-        star[b] = a
-    jis = [j for j in range(n) if lower[j] == 1]
+    join_of = {u: z for z, u in enumerate(up)}
+    jis = [j for j in range(n) if len(lower[j]) == 1]
     jmask = sum(1 << j for j in jis)
     reach = [0] * n  # reach[q]: the p with p D q (q itself by x = 0), closed
     for q in jis:
+        up_q, up_star = up[q], up[lower[q][0]]
         m = 0
-        for up_q, up_star in zip(join_t[q], join_t[star[q]]):
-            m |= dn[up_q] & ~dn[up_star]
+        for u in up:
+            m |= dn[join_of[up_q & u]] & ~dn[join_of[up_star & u]]
         reach[q] = m & jmask
     for k in jis:
         for p in jis:
@@ -337,28 +368,42 @@ def cover_labels(lat):
                 reach[p] |= reach[k]
     classes, below = _inclusion_order(reach[j] for j in jis)
     index = {c: t for t, c in enumerate(classes)}
-    labels = {}
-    for y, x in lat.covers:
-        cand = dn[x] & ~dn[y] & jmask
-        j = min((j for j in jis if cand >> j & 1), key=lambda j: dn[j].bit_count())
-        labels[(y, x)] = index[reach[j]]
+    ranked = [(j, index[reach[j]]) for _, j in sorted((dn[j].bit_count(), j) for j in jis)]
+    labels = []
+    for x, ys in enumerate(lower):
+        for y in ys:
+            cand = dn[x] & ~dn[y]
+            for j, t in ranked:
+                if cand >> j & 1:
+                    break
+            labels.append((y, x, t))
     return below, labels
 
 
 def congruence_energies(lat):
     """The energy of every member of Con(L), in down-set order, without
-    building Con(L): the member of down-set D of J has energy
-    2 #{x : D meets S_x}, S_x the labels of x's lower covers (see the
-    module docstring).  Sum and length give CE(L) and |Con(L)|.  Raises
-    BudgetExceeded as soon as Con has more than CON_BUDGET members."""
-    below, labels = cover_labels(lat)
-    lower = [0] * lat.n
-    for (_, x), t in labels.items():
-        lower[x] |= 1 << t
-    lower = [s for s in lower if s]
+    building Con(L) (see ``_row_energies``).  Sum and length give CE(L) and
+    |Con(L)|.  Raises BudgetExceeded as soon as Con has more than
+    CON_BUDGET members."""
+    return _row_energies(*lt._rows(lat))
+
+
+def _row_energies(n, up, dn, lower):
+    """``congruence_energies`` of the lattice given by its rows, as
+    ``_label_rows`` takes them.  The member of down-set D of J has energy
+    2 #{x : D meets S_x}, S_x the labels of x's lower covers (see the module
+    docstring).  With hit[t] the bitmask of the x whose S_x holds t, the x
+    counted for D are the union of hit[t] over t in D: one OR onto the
+    union of D minus its top label, and one popcount, per member."""
+    below, labels = _label_rows(n, up, dn, lower)
+    hit = [0] * len(below)
+    for _, x, t in labels:
+        hit[t] |= 1 << x
+    reached = [0]
     energies = [0]
-    for _, _, mask in _down_set_steps(below):
-        energies.append(2 * sum(1 for s in lower if s & mask))
+    for i, t, _ in _down_set_steps(below):
+        reached.append(reached[i] | hit[t])
+        energies.append(2 * reached[-1].bit_count())
         _budget_check(energies)
     return energies
 
@@ -439,8 +484,7 @@ def is_distributive(c):
     keeps.  con(a, b) is the first member in (heq, rep) order to collapse
     (a, b), the bit a * n + b of a pair mask."""
     principals, seen = {}, 0
-    for m in c.members:
-        pairs = _pair_mask(m.rep)
+    for m, pairs in zip(c.members, _member_masks(c)):
         if pairs & ~seen:
             principals[m.rep] = pairs
             seen |= pairs

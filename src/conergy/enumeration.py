@@ -16,10 +16,13 @@ new element is not a maximal element of greatest invariant (see
 by poset canonical form at every level.  At the last level the top is
 appended before the canonical form is taken: adding a top is a bijection
 from (n-1)-element meet semilattices onto n-element lattices, so the key
-is already the lattice's canonical form, and a Lattice is built from each
-key in its canonical labelling, once per class.  ``extremal_report``
-counts CE and |Con| from the down-sets of J
-(``congruence.congruence_energies``).
+is already the lattice's canonical form.  ``extremal_report`` folds the
+first child of each class into its record there, on the child's own rows:
+CE and |Con| from the down-sets of J (``congruence._row_energies``), the
+antichain and shape tests, and the covers relabelled by the canonical
+labelling.  No Lattice, and so no join or meet table, is built per class;
+``all_lattices`` builds a validated one from each key, in its canonical
+labelling.
 
 An independent labeled-poset oracle (enumerate all naturally labeled
 posets, filter the lattice property) guards completeness at small sizes.
@@ -81,8 +84,9 @@ def _lattice_from_dn(dn):
 
 def all_lattices(n):
     """All n-element lattices, one representative per isomorphism class,
-    in canonical-form order."""
-    return [lt.chain(1)] if n == 1 else [lat for _, lat in _keyed_lattices(n)]
+    in canonical-form order, each in its canonical labelling."""
+    classes = _keyed_lattices(n, lambda *rows: None)
+    return [lt.from_order_bits(n, _up_rows_from_code(key)) for key in sorted(classes)]
 
 
 def _bits(mask):
@@ -102,11 +106,17 @@ def _up_rows_from_code(code):
     return [int(format(row, f"0{n}b")[::-1], 2) for row in rows]
 
 
-def _keyed_lattices(n):
-    """(canonical form, lattice) for every iso class of order n, sorted.
+def _keyed_lattices(n, fold):
+    """{canonical form: fold(key, up, dn, lower, label)} over the iso
+    classes of order n, fold called once per class, on the rows of the
+    first child in that class: up and down rows, lower-cover lists, and
+    label, the child's canonical labelling (see
+    ``lattice.canonical_order_matrix``).
 
-    Each lattice is rebuilt from its key, so its labels are the canonical
-    ones.  A prefix is a meet semilattice P on 0..k-1 with its down rows,
+    The children are lattices with no further test: each is a meet
+    semilattice, as ``_has_greatest`` checks, with a top appended, and a
+    finite meet semilattice with a top is a lattice.  A prefix is a meet
+    semilattice P on 0..k-1 with its down rows,
     up rows, lower-cover lists and automorphisms; a child P + x adds x = k
     above the down-set ``mask``.  Before any canonical form is taken:
 
@@ -130,8 +140,9 @@ def _keyed_lattices(n):
     if n > budget:
         raise BudgetExceeded(f"all_lattices limited to n <= {budget}")
     if n <= 2:
-        lat = lt.chain(n)
-        return [(lt.canonical_form(lat), lat)]
+        rows = lt._rows(lt.chain(n))
+        key, _, label = lt.canonical_order_matrix(*rows)
+        return {key: fold(key, *rows[1:], label)}
     level = [([1], [1], [[]], ((0,),))]  # (dn, up, lower covers, automorphisms)
     for k in range(1, n - 1):
         last = k == n - 2
@@ -161,11 +172,13 @@ def _keyed_lattices(n):
                     dn2.append(2 * top - 1)
                     up2 = [u | top for u in up2] + [top]
                     lower2.append([y for y in maximal if not mask >> y & 1] + [k])
-                key, autos2 = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
+                key, autos2, label = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
                 if key not in nxt:
-                    nxt[key] = None if last else (dn2, up2, lower2, autos2)
+                    nxt[key] = (
+                        fold(key, up2, dn2, lower2, label) if last else (dn2, up2, lower2, autos2)
+                    )
         level = list(nxt.values())
-    return sorted((key, lt.from_order_bits(n, _up_rows_from_code(key))) for key in nxt)
+    return nxt
 
 
 def all_lattices_brute(n):
@@ -232,9 +245,10 @@ def glued_n5_family(n):
     return _glued_chain_core_chain(lt.named("N5"), n)
 
 
-def _core_shape(lat):
-    """(size, cover count) of the only glued summand of L with more than
-    two elements, or None when L has no such summand or several.
+def _core_shape(n, up, dn, lower):
+    """(size, cover count) of the only glued summand of L, given by its
+    rows, with more than two elements, or None when L has no such summand
+    or several.
 
     The glue points, the elements comparable to every element, cut L
     uniquely into intervals between consecutive glue points, and no such
@@ -242,23 +256,20 @@ def _core_shape(lat):
     only 4-element lattice is B4 (4 covers), and the 5-element ones are N5
     (5 covers) and M3 (6 covers).
     """
-    full = (1 << lat.n) - 1
-    glue = sorted(
-        (c for c in range(lat.n) if lat.up_bits[c] | lat.dn_bits[c] == full),
-        key=lambda c: lat.dn_bits[c].bit_count(),
-    )
-    cores = [lat.up_bits[lo] & lat.dn_bits[hi] for lo, hi in zip(glue, glue[1:])]
+    full = (1 << n) - 1
+    glue = sorted((c for c in range(n) if up[c] | dn[c] == full), key=lambda c: dn[c].bit_count())
+    cores = [up[lo] & dn[hi] for lo, hi in zip(glue, glue[1:])]
     cores = [s for s in cores if s.bit_count() > 2]
     if len(cores) != 1:
         return None
     core = cores[0]
-    covers = sum(1 for a, b in lat.covers if core >> a & 1 and core >> b & 1)
+    covers = sum(1 for b in _bits(core) for a in lower[b] if core >> a & 1)
     return core.bit_count(), covers
 
 
 def decomposes_as_chain_b4_chain(lat):
     """L is a chain + B4 + chain stacking (either chain may have one element)."""
-    return _core_shape(lat) == (4, 4)
+    return _core_shape(*lt._rows(lat)) == (4, 4)
 
 
 is_glued_b4_shape = decomposes_as_chain_b4_chain
@@ -266,7 +277,7 @@ is_glued_b4_shape = decomposes_as_chain_b4_chain
 
 def is_glued_n5_shape(lat):
     """L is a chain + N5 + chain stacking (either chain may have one element)."""
-    return _core_shape(lat) == (5, 5)
+    return _core_shape(*lt._rows(lat)) == (5, 5)
 
 
 def glued_b4_count(n):
@@ -328,23 +339,31 @@ def _verdict(ok, detail=""):
     return "holds" if ok else f"fails: {detail}"
 
 
+def _record(key, up, dn, lower, label):
+    """The LatticeRecord of the lattice with these rows, whose canonical
+    form is key and canonical labelling label; its covers are given in
+    the canonical labels."""
+    n = len(up)
+    energies = cg._row_energies(n, up, dn, lower)
+    pairs = lt._antichain_pairs(n, up, dn)
+    shape = _core_shape(n, up, dn, lower)
+    return LatticeRecord(
+        canon=key.hex(),
+        covers=tuple(sorted((label[y], label[x]) for x, ys in enumerate(lower) for y in ys)),
+        ce=sum(energies),
+        con_size=len(energies),
+        is_chain=pairs == 0,
+        antichain_pairs=pairs,
+        glued_b4=shape == (4, 4),
+        glued_n5=shape == (5, 5),
+    )
+
+
 def extremal_report(n):
-    """Per-class CE and |Con| plus verdicts for the extremal statements."""
-    records = []
-    for key, lat in _keyed_lattices(n):
-        energies = cg.congruence_energies(lat)
-        records.append(
-            LatticeRecord(
-                canon=key.hex(),
-                covers=lat.covers,
-                ce=sum(energies),
-                con_size=len(energies),
-                is_chain=lt.is_chain(lat),
-                antichain_pairs=lt.count_two_element_antichains(lat),
-                glued_b4=decomposes_as_chain_b4_chain(lat),
-                glued_n5=is_glued_n5_shape(lat),
-            )
-        )
+    """Per-class CE and |Con| plus verdicts for the extremal statements.
+    Each record is made from the generator's own rows of the class, with
+    no Lattice built."""
+    records = [r for _, r in sorted(_keyed_lattices(n, _record).items())]
     max_ce = max(r.ce for r in records)
     max_wit = tuple(r.canon for r in records if r.ce == max_ce)
     rest = [r for r in records if r.ce < max_ce]

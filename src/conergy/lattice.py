@@ -229,10 +229,24 @@ def is_chain(lat):
 
 
 def count_two_element_antichains(lat):
+    """The number of incomparable pairs of L."""
+    return _antichain_pairs(lat.n, lat.up_bits, lat.dn_bits)
+
+
+def _antichain_pairs(n, up, dn):
     """Incomparable pairs: each element's row of elements comparable to
     it is up | dn, so every pair is missed by both of its rows."""
-    full = (1 << lat.n) - 1
-    return sum((full & ~(u | d)).bit_count() for u, d in zip(lat.up_bits, lat.dn_bits)) // 2
+    full = (1 << n) - 1
+    return sum((full & ~(u | d)).bit_count() for u, d in zip(up, dn)) // 2
+
+
+def _rows(lat):
+    """(n, up rows, down rows, lower-cover lists): the lattice as the row
+    functions take it, the form the generator holds each child in."""
+    lower = [[] for _ in range(lat.n)]
+    for a, b in lat.covers:
+        lower[b].append(a)
+    return lat.n, lat.up_bits, lat.dn_bits, lower
 
 
 def prime_intervals(lat):
@@ -279,8 +293,10 @@ def canonical_order_matrix(n, up, dn, lower):
     with the same code as sigma, and two candidates with the same code
     differ by an automorphism.  The optimal candidates are therefore one
     coset of Aut(P): with sigma0 the first of them, each optimal tau gives
-    the automorphism sigma0[i] -> tau[i].  Returns (code, automorphisms),
-    each automorphism a tuple g with g[x] the image of x, identity first.
+    the automorphism sigma0[i] -> tau[i].  Returns (code, automorphisms,
+    label): each automorphism a tuple g with g[x] the image of x, identity
+    first, and label[x] the new label of x under sigma0, so that a <= b
+    iff bit (label[a], label[b]) of the code is set.
     """
     above = [[b for b in range(n) if row >> b & 1] for row in up]
     upper = [[] for _ in range(n)]
@@ -315,17 +331,14 @@ def canonical_order_matrix(n, up, dn, lower):
     for i, x in enumerate(ties[0]):
         label[x] = i
     automorphisms = tuple(tuple([tau[i] for i in label]) for tau in ties)
-    return bytes([n]) + code.to_bytes(nbytes, "big"), automorphisms
+    return bytes([n]) + code.to_bytes(nbytes, "big"), automorphisms, label
 
 
 def canonical_form(lat):
     """Permutation-invariant byte string, injective up to isomorphism."""
     if lat.n > ISO_BUDGET:
         raise BudgetExceeded(f"canonical_form limited to n <= {ISO_BUDGET}")
-    lower = [[] for _ in range(lat.n)]
-    for a, b in lat.covers:
-        lower[b].append(a)
-    return canonical_order_matrix(lat.n, lat.up_bits, lat.dn_bits, lower)[0]
+    return canonical_order_matrix(*_rows(lat))[0]
 
 
 def are_isomorphic(l1, l2):

@@ -149,6 +149,21 @@ def test_join_closure_ignores_reducible_generators():
         assert cg.join_closure(a.n, list(con.members)) == con
 
 
+def test_join_closure_keeps_each_members_pair_mask():
+    # is_distributive and atoms read the masks join_closure kept; the same
+    # members without them must give the same verdicts, and the atoms must
+    # be those of the partition order
+    for a in brute_filter_samples() + [alg.lattice_as_algebra(lt.chain(8))]:
+        con = alg.all_congruences_alg(a)
+        bare = cg.CongruenceLattice(con.host_n, con.members)
+        assert con.pair_masks == tuple(cg._pair_mask(m.rep) for m in con.members)
+        non_bottom = [m for m in con.members if pt.heq(m) > 0]
+        scanned = [m for m in non_bottom if not any(p != m and pt.leq(p, m) for p in non_bottom)]
+        assert con.atoms() == bare.atoms() == scanned
+        assert cg.is_distributive(con) == cg.is_distributive(bare)
+        assert cg.has_boolean_size(con) == cg.has_boolean_size(bare)
+
+
 def test_budget():
     with pytest.raises(BudgetExceeded):
         alg.all_congruences_alg(alg.FiniteAlgebra(9, ()))

@@ -46,7 +46,8 @@ def predicate_refined_invariants(n, leq_fn, up_cov, dn_cov):
 
 def predicate_canonical_order_matrix(n, leq_fn):
     """Oracle: the canonical form computed from the order predicate alone,
-    one predicate call per matrix bit of every relabelling tried."""
+    one predicate call per matrix bit of every relabelling tried, and the
+    first relabelling, in the order tried, that gives it."""
     up_cov = [[] for _ in range(n)]
     dn_cov = [[] for _ in range(n)]
     for a in range(n):
@@ -68,8 +69,19 @@ def predicate_canonical_order_matrix(n, leq_fn):
             for j in range(n):
                 code = code << 1 | (1 if leq_fn(sigma[i], sigma[j]) else 0)
         if best is None or code < best:
-            best = code
-    return bytes([n]) + best.to_bytes((n * n + 7) // 8, "big")
+            best, first = code, sigma
+    return bytes([n]) + best.to_bytes((n * n + 7) // 8, "big"), first
+
+
+def relabelled_code(up, label):
+    """The code of the order with up rows ``up`` relabelled by ``label``:
+    bit (label[a], label[b]) of the n*n matrix, most significant first, is
+    a <= b."""
+    n = len(up)
+    code = sum(
+        1 << n * n - 1 - (label[a] * n + label[b]) for a in range(n) for b in range(n) if up[a] >> b & 1
+    )
+    return bytes([n]) + code.to_bytes((n * n + 7) // 8, "big")
 
 
 def preserves_order(g, up):
@@ -88,16 +100,18 @@ def test_canonical_form_matches_predicate_oracle(monkeypatch):
         def leq_fn(a, b):
             return bool(up[a] >> b & 1)
 
-        got, autos = fast(n, up, dn, lower)
-        assert got == predicate_canonical_order_matrix(n, leq_fn)
+        got, autos, label = fast(n, up, dn, lower)
+        code, first = predicate_canonical_order_matrix(n, leq_fn)
+        assert got == code == relabelled_code(up, label)
+        assert [label[x] for x in first] == list(range(n))  # the first optimal relabelling
         assert all(preserves_order(g, up) for g in autos)
         sizes.append(n)
-        return got, autos
+        return got, autos, label
 
     monkeypatch.setattr(lt, "canonical_order_matrix", checked)
     for n in range(1, 9):
         assert len(em.all_lattices(n)) == KNOWN_COUNTS[n]
-    assert set(sizes) == set(range(2, 9))
+    assert set(sizes) == set(range(1, 9))
 
 
 def rows_of(up):
@@ -128,7 +142,7 @@ def unpruned_keys(n):
                 if last:
                     top = 1 << (n - 1)
                     up2 = [u | top for u in up2] + [top]
-                key, _ = lt.canonical_order_matrix(len(up2), up2, *rows_of(up2))
+                key = lt.canonical_order_matrix(len(up2), up2, *rows_of(up2))[0]
                 if key not in nxt:
                     nxt[key] = up2
         level = nxt
@@ -137,7 +151,7 @@ def unpruned_keys(n):
 
 def test_pruned_generator_keeps_every_class():
     for n in range(1, 9):
-        assert [key for key, _ in em._keyed_lattices(n)] == unpruned_keys(n)
+        assert sorted(em._keyed_lattices(n, lambda *rows: None)) == unpruned_keys(n)
 
 
 def test_labelled_children_pass_both_pruning_tests(monkeypatch):
@@ -156,7 +170,9 @@ def test_labelled_children_pass_both_pruning_tests(monkeypatch):
             assert k in maximal and invariant[maximal.index(k)] == max(invariant)
             parent = tuple(u & ((1 << k) - 1) for u in up[:k])
             children.setdefault(parent, []).append(dn[k] & ~(1 << k))
-            return fast(size, up, dn, lower)
+            got, autos, label = fast(size, up, dn, lower)
+            assert got == relabelled_code(up, label)
+            return got, autos, label
 
         monkeypatch.setattr(lt, "canonical_order_matrix", checked)
         assert len(em.all_lattices(n)) == KNOWN_COUNTS[n]
@@ -178,12 +194,13 @@ def test_automorphisms_are_the_order_automorphisms(monkeypatch):
     seen = []
 
     def checked(n, up, dn, lower):
-        got, autos = fast(n, up, dn, lower)
+        got, autos, label = fast(n, up, dn, lower)
+        assert got == relabelled_code(up, label)
         assert autos[0] == tuple(range(n))
         assert len(set(autos)) == len(autos)
         assert set(autos) == brute_automorphisms(up)
         seen.append(n)
-        return got, autos
+        return got, autos, label
 
     monkeypatch.setattr(lt, "canonical_order_matrix", checked)
     for n in range(1, 7):
@@ -400,6 +417,33 @@ def test_records_are_labelled_by_their_key():
             assert all(a < b for a, b in r.covers)  # bottom 0, top n - 1
             lat = lt.from_covers(n, list(r.covers))
             assert lt.canonical_form(lat).hex() == r.canon
+
+
+def lattice_route_record(key):
+    """Oracle: the record of the class with canonical form ``key``, made
+    from a validated Lattice rebuilt from the key."""
+    lat = lt.from_order_bits(key[0], em._up_rows_from_code(key))
+    energies = cg.congruence_energies(lat)
+    return em.LatticeRecord(
+        canon=key.hex(),
+        covers=lat.covers,
+        ce=sum(energies),
+        con_size=len(energies),
+        is_chain=lt.is_chain(lat),
+        antichain_pairs=lt.count_two_element_antichains(lat),
+        glued_b4=em.decomposes_as_chain_b4_chain(lat),
+        glued_n5=em.is_glued_n5_shape(lat),
+    )
+
+
+def test_folded_records_match_the_lattice_route():
+    # each record is folded from the rows of the generator's first child
+    # in its class, in that child's labelling, not from the key
+    for n in range(1, 9):
+        records = em.extremal_report(n).records
+        assert len(records) == KNOWN_COUNTS[n]
+        for r in records:
+            assert r == lattice_route_record(bytes.fromhex(r.canon))
 
 
 def test_report_deterministic_and_json_stable():
