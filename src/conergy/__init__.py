@@ -48,8 +48,6 @@ from .enumeration import (
     all_lattices,
     all_lattices_brute,
     extremal_report,
-    glued_b4_count,
-    is_glued_b4_shape,
     is_glued_n5_shape,
 )
 from .lattice import (
@@ -64,13 +62,11 @@ from .lattice import (
     glued_sum,
     is_chain,
     named,
-    prime_intervals,
 )
 from .partition import (
     Partition,
     all_partitions,
     bottom,
-    equ_pair,
     heq,
     num_blocks,
     top,

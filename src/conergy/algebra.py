@@ -1,7 +1,7 @@
 """General finite algebras given by operation tables.
 
-A congruence is generated by ``congruence.translation_closure`` over the
-unary translations (all but one argument frozen to constants), the same
+A congruence is generated by ``partition.join_pairs`` over the unary
+translations (all but one argument frozen to constants), the same
 union-find closure that lattices use.  ``principal_congruences`` finds
 every Cg(a, b) at once, from one transitive closure of the translation
 images on bitmasks of pairs, with one union-find per distinct result
@@ -88,7 +88,7 @@ def unary_translations(alg):
 
 def congruence_closure(alg, pairs):
     """Least congruence containing the given pairs."""
-    return cg.translation_closure(alg.n, unary_translations(alg), pairs)
+    return pt.join_pairs(alg.n, pairs, unary_translations(alg))
 
 
 def principal_congruences(alg):

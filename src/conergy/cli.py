@@ -49,12 +49,7 @@ def _build_one(spec):
 
 def parse_builder(spec):
     if spec.lower().startswith("glue:"):
-        parts = spec[len("glue:"):].split(",")
-        lats = [_build_one(p) for p in parts]
-        out = lats[0]
-        for nxt in lats[1:]:
-            out = lt.glued_sum(out, nxt)
-        return out
+        return lt.glued_sum(*[_build_one(p) for p in spec[len("glue:"):].split(",")])
     return _build_one(spec)
 
 
@@ -242,18 +237,6 @@ def _report_suite(key, max_n, first_n=1):
     return ok, details
 
 
-def suite_thm_b(max_n):
-    return _report_suite("thm_b", max_n)
-
-
-def suite_thm_c(max_n):
-    return _report_suite("thm_c", max_n, first_n=4)
-
-
-def suite_manycon(max_n):
-    return _report_suite("manycon", max_n)
-
-
 def suite_pentagon(max_k):
     details = []
     ok = True
@@ -314,9 +297,9 @@ def suite_aux(max_n=20):
 
 SUITES = {
     "remark1": (suite_remark1, 6),
-    "thm-b": (suite_thm_b, 6),
-    "thm-c": (suite_thm_c, 6),
-    "manycon": (suite_manycon, 6),
+    "thm-b": (functools.partial(_report_suite, "thm_b"), 6),
+    "thm-c": (functools.partial(_report_suite, "thm_c", first_n=4), 6),
+    "manycon": (functools.partial(_report_suite, "manycon"), 6),
     "pentagon": (suite_pentagon, 10),
     "bounds": (suite_bounds, 8),
     "aux": (suite_aux, 20),

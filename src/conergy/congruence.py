@@ -13,8 +13,8 @@ Since blocks are intervals, the member of down-set D is the equivalence
 generated by the covers whose label is in D, so ``all_congruences`` builds
 each member with one partition join and keeps its down-set mask beside it.
 ``principal_congruence`` closes a pair under every row of the join and
-meet tables with ``translation_closure``, the union-find that algebras run
-over their own translations; it is the oracle for the labels.
+meet tables with ``partition.join_pairs``, the union-find that algebras
+run over their own translations; it is the oracle for the labels.
 
 ``congruence_energies`` does not build Con at all.  By the paper's claim
 (1) the energy of a member theta is 2 (n - |L/theta|), and since blocks
@@ -50,7 +50,6 @@ from .errors import (
     NotAnAtom,
     NotDistributive,
     NotPrime,
-    OutOfRange,
     SizeMismatch,
 )
 
@@ -96,16 +95,6 @@ class CongruenceLattice:
             m for m, pairs in non_bottom
             if not any(q != pairs and q & ~pairs == 0 for _, q in non_bottom)
         ]
-
-    def to_json_dict(self):
-        return {
-            "host_n": self.host_n,
-            "members": [list(m.rep) for m in self.members],
-        }
-
-
-def _sorted_members(members):
-    return tuple(sorted(set(members), key=lambda p: (pt.heq(p), p.rep)))
 
 
 def _sorted_with(members, data):
@@ -178,22 +167,11 @@ def perspectivity_closure(lat, seed):
     }
 
 
-def translation_closure(n, translations, pairs):
-    """Least equivalence on n points containing the pairs and closed under
-    the translations: the congruence they generate when the translations
-    are the basic unary translations of an algebra."""
-    pairs = list(pairs)
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
-    return pt.Partition(n, pt.union_find(list(range(n)), pairs, translations))
-
-
 def principal_congruence(lat, a, b):
     """Least congruence collapsing (a, b), for any pair: the closure of the
     pair under every row of the join and meet tables, the translations
     x -> x v c and x -> x ^ c."""
-    return translation_closure(lat.n, lat.join_table + lat.meet_table, [(a, b)])
+    return pt.join_pairs(lat.n, [(a, b)], lat.join_table + lat.meet_table)
 
 
 def _budget_check(members):
@@ -411,7 +389,7 @@ def _row_energies(n, up, dn, lower):
 def brute_force_congruences(lat):
     """Oracle route: filter every partition through the checker."""
     members = [p for p in pt.all_partitions(lat.n) if is_congruence(lat, p)]
-    return CongruenceLattice(lat.n, _sorted_members(members))
+    return CongruenceLattice(lat.n, _sorted_with(members, members)[0])
 
 
 def quotient(lat, theta):

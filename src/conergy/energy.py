@@ -53,10 +53,6 @@ def adjacency_of(p):
     return Adjacency(n, tuple(rows))
 
 
-def complete_graph(k):
-    return Adjacency(k, tuple(tuple(0 if i == j else 1 for j in range(k)) for i in range(k)))
-
-
 def _off_norm(a, n):
     s = 0.0
     for i in range(n):

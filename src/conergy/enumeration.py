@@ -225,7 +225,7 @@ def _glued_chain_core_chain(core, n):
     the lower chain.  Glued-sum decomposition is unique, so no two
     placements are isomorphic."""
     return [
-        lt.glued_sum(lt.chain(i), lt.glued_sum(core, lt.chain(n - core.n - i + 2)))
+        lt.glued_sum(lt.chain(i), core, lt.chain(n - core.n - i + 2))
         for i in range(1, n - core.n + 2)
     ]
 
@@ -272,19 +272,9 @@ def decomposes_as_chain_b4_chain(lat):
     return _core_shape(*lt._rows(lat)) == (4, 4)
 
 
-is_glued_b4_shape = decomposes_as_chain_b4_chain
-
-
 def is_glued_n5_shape(lat):
     """L is a chain + N5 + chain stacking (either chain may have one element)."""
     return _core_shape(*lt._rows(lat)) == (5, 5)
-
-
-def glued_b4_count(n):
-    """Number of iso classes of chain + B4 + chain stackings of size n."""
-    if n < 4:
-        raise DomainError(f"glued_b4_count needs n >= 4, got {n}")
-    return len(glued_b4_family(n))
 
 
 @dataclass(frozen=True)
@@ -392,13 +382,11 @@ def extremal_report(n):
 
     v_many = all(r.con_size <= 2 ** (n - 1) for r in records) and all(
         (r.con_size == 2 ** (n - 1)) == r.is_chain for r in records
+    ) and all(
+        (r.con_size == 2 ** (n - 2)) == r.glued_b4 and r.con_size <= 2 ** (n - 2)
+        for r in records
+        if not r.is_chain
     )
-    if n >= 2:
-        v_many = v_many and all(
-            (r.con_size == 2 ** (n - 2)) == r.glued_b4
-            for r in records
-            if not r.is_chain
-        ) and all(r.con_size <= 2 ** (n - 2) for r in records if not r.is_chain)
     verdicts.append(("manycon", _verdict(v_many, "congruence-count bounds violated")))
 
     if n >= 5:

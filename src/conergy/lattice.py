@@ -197,24 +197,29 @@ def named(ident):
     return from_covers(n, covers)
 
 
-def glued_sum(u, v):
-    """Stack v on top of u, identifying top(u) with bottom(v).
+def glued_sum(base, *parts):
+    """Stack the parts on top of base, bottom to top, identifying the top
+    of each lattice with the bottom of the next, and validate the stack
+    once, from one cover list.
 
-    Result size is |u| + |v| - 1; u keeps its labels, the non-bottom
-    elements of v get fresh labels in their original order.
+    Result size is the sum of the sizes minus the number of parts; base
+    keeps its labels, and the non-bottom elements of each part get fresh
+    labels in their original order, so glued_sum(u, v, w) equals
+    glued_sum(glued_sum(u, v), w).
     """
-    t = u.top
-    relabel = {}
-    nxt = u.n
-    for x in range(v.n):
-        if x == v.bottom:
-            relabel[x] = t
-        else:
-            relabel[x] = nxt
-            nxt += 1
-    covers = list(u.covers)
-    covers += [(relabel[a], relabel[b]) for a, b in v.covers]
-    return from_covers(u.n + v.n - 1, covers)
+    t, nxt = base.top, base.n
+    covers = list(base.covers)
+    for v in parts:
+        relabel = {}
+        for x in range(v.n):
+            if x == v.bottom:
+                relabel[x] = t
+            else:
+                relabel[x] = nxt
+                nxt += 1
+        covers += [(relabel[a], relabel[b]) for a, b in v.covers]
+        t = relabel[v.top]
+    return from_covers(nxt, covers)
 
 
 def dual(lat):
@@ -247,10 +252,6 @@ def _rows(lat):
     for a, b in lat.covers:
         lower[b].append(a)
     return lat.n, lat.up_bits, lat.dn_bits, lower
-
-
-def prime_intervals(lat):
-    return [PrimeInterval(a, b) for a, b in lat.covers]
 
 
 def _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov):

@@ -59,18 +59,6 @@ def top(n):
     return Partition(n, (0,) * n)
 
 
-def equ_pair(n, a, b):
-    """The least equivalence collapsing exactly {a, b}."""
-    if not (0 <= a < n and 0 <= b < n):
-        raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
-    if a == b:
-        return bottom(n)
-    lo, hi = min(a, b), max(a, b)
-    rep = list(range(n))
-    rep[hi] = lo
-    return Partition(n, tuple(rep))
-
-
 def num_blocks(p):
     return sum(1 for i, r in enumerate(p.rep) if r == i)
 
@@ -140,13 +128,17 @@ def join(p, q):
     return Partition(p.n, rep)
 
 
-def join_pairs(n, pairs):
-    """Least equivalence containing all the given pairs."""
+def join_pairs(n, pairs, translations=()):
+    """Least equivalence on n points containing all the given pairs and
+    closed under the given translations (maps as tuples of length n): the
+    congruence the pairs generate when the translations are the basic
+    unary translations of an algebra or the rows of a lattice's join and
+    meet tables.  A pair outside 0..n-1 raises OutOfRange."""
     pairs = list(pairs)
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
-    return Partition(n, union_find(list(range(n)), pairs))
+    return Partition(n, union_find(list(range(n)), pairs, translations))
 
 
 def iter_partitions(n):

@@ -139,7 +139,7 @@ def test_09_auxiliary_inequalities():
 def test_10_eigensolver():
     ok = True
     for k in range(1, 13):
-        ev = en.spectrum(en.complete_graph(k), 1e-12)
+        ev = en.spectrum(en.adjacency_of(pt.top(k)), 1e-12)
         want = [k - 1.0] + [-1.0] * (k - 1)
         ok = ok and max(abs(a - b) for a, b in zip(ev, want)) < 1e-9
     rng = random.Random(2024)

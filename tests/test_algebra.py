@@ -55,7 +55,7 @@ def test_closure_with_no_operations_is_equ():
     free = alg.FiniteAlgebra(5, ())
     for a in range(5):
         for b in range(5):
-            assert alg.congruence_closure(free, [(a, b)]) == pt.equ_pair(5, a, b)
+            assert alg.congruence_closure(free, [(a, b)]) == pt.join_pairs(5, [(a, b)])
     assert alg.congruence_closure(free, []) == pt.bottom(5)
     assert len(alg.all_congruences_alg(free)) == ct.bell(5)
 
@@ -194,10 +194,10 @@ def test_unary_big_algebra_con_holds_a_diamond():
         (x, y, z)
         for x, y, z in itertools.combinations(range(8), 3)
         if {
-            pt.equ_pair(8, x, y),
-            pt.equ_pair(8, x, z),
-            pt.equ_pair(8, y, z),
-            pt.join(pt.equ_pair(8, x, y), pt.equ_pair(8, y, z)),
+            pt.join_pairs(8, [(x, y)]),
+            pt.join_pairs(8, [(x, z)]),
+            pt.join_pairs(8, [(y, z)]),
+            pt.join(pt.join_pairs(8, [(x, y)]), pt.join_pairs(8, [(y, z)])),
         } <= members
     ]
     assert (3, 4, 5) in diamonds

@@ -38,6 +38,9 @@ def test_parse_builder():
     for spec in ("cube:3", "chain:x", "glue:b4,chain:2.5"):
         with pytest.raises(MalformedInput):
             cli.parse_builder(spec)
+    assert cli.parse_builder("glue:b4") == lt.named("B4")
+    want = lt.glued_sum(lt.glued_sum(lt.named("N5"), lt.named("B4")), lt.chain(2))
+    assert cli.parse_builder("glue:n5,b4,chain:2") == want
 
 
 def test_energy_b4(capsys):

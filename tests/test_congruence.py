@@ -13,6 +13,7 @@ from conergy.errors import (
     NotACongruence,
     NotAnAtom,
     NotPrime,
+    OutOfRange,
     SizeMismatch,
 )
 
@@ -48,10 +49,10 @@ def test_is_congruence_trivials():
 
 def test_is_congruence_examples():
     n5 = lt.named("N5")
-    assert cg.is_congruence(n5, pt.equ_pair(5, lt.N5_P, lt.N5_Q))
+    assert cg.is_congruence(n5, pt.join_pairs(5, [(lt.N5_P, lt.N5_Q)]))
     b4 = lt.named("B4")
     # {1, 2} is not convex: 1 and 2 are the incomparable middle elements
-    assert not cg.is_congruence(b4, pt.equ_pair(4, 1, 2))
+    assert not cg.is_congruence(b4, pt.join_pairs(4, [(1, 2)]))
     with pytest.raises(SizeMismatch):
         cg.is_congruence(b4, pt.bottom(5))
 
@@ -99,10 +100,23 @@ def test_principal_congruence_examples():
     assert cg.principal_congruence(c3, 0, 1).blocks() == [(0, 1), (2,)]
     n5 = lt.named("N5")
     got = cg.principal_congruence(n5, lt.N5_P, lt.N5_Q)
-    assert got == pt.equ_pair(5, lt.N5_P, lt.N5_Q)
+    assert got == pt.join_pairs(5, [(lt.N5_P, lt.N5_Q)])
     for lat in small_lattices():
         for a in range(lat.n):
             assert cg.principal_congruence(lat, a, a) == pt.bottom(lat.n)
+
+
+def test_closures_reject_pairs_out_of_range():
+    # union_find indexes its parent list directly, so without the range
+    # check in join_pairs a negative point would wrap around silently
+    lat = lt.named("N5")
+    a = alg.lattice_as_algebra(lat)
+    with pytest.raises(OutOfRange):
+        alg.congruence_closure(a, [(0, a.n)])
+    with pytest.raises(OutOfRange):
+        cg.principal_congruence(lat, 0, lat.n)
+    with pytest.raises(OutOfRange):
+        pt.join_pairs(3, [(-1, 0)])
 
 
 def test_principal_congruence_matches_minimal_oracle():
@@ -282,7 +296,7 @@ def test_quotient_examples():
         assert q1.n == 1
         assert list(m0) == list(range(lat.n))
     with pytest.raises(NotACongruence):
-        cg.quotient(lt.named("B4"), pt.equ_pair(4, 1, 2))
+        cg.quotient(lt.named("B4"), pt.join_pairs(4, [(1, 2)]))
 
 
 def test_quotient_size_law_and_block_arithmetic():

@@ -39,7 +39,7 @@ def test_adjacency_validation():
 
 def test_complete_graph_spectrum():
     for k in range(1, 13):
-        ev = en.spectrum(en.complete_graph(k), 1e-12)
+        ev = en.spectrum(en.adjacency_of(pt.top(k)), 1e-12)
         want = [k - 1.0] + [-1.0] * (k - 1)
         assert len(ev) == k
         for got, expect in zip(ev, want):
@@ -69,7 +69,7 @@ def test_spectrum_sanity_identities():
 
 
 def test_spectral_energy_examples():
-    assert abs(en.spectral_energy(en.complete_graph(3)) - 4.0) < 1e-9
+    assert abs(en.spectral_energy(en.adjacency_of(pt.top(3))) - 4.0) < 1e-9
     assert en.spectral_energy(en.adjacency_of(pt.bottom(5))) == 0.0
     two_pairs = pt.from_labels([0, 0, 1, 1])
     assert abs(en.spectral_energy(en.adjacency_of(two_pairs)) - 4.0) < 1e-9

@@ -9,7 +9,7 @@ from conergy import counting as ct
 from conergy import energy as en
 from conergy import enumeration as em
 from conergy import lattice as lt
-from conergy.errors import BudgetExceeded, DomainError
+from conergy.errors import BudgetExceeded
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
 
@@ -303,11 +303,10 @@ def test_budget_and_env_override():
 
 
 def test_glued_b4_family_counts():
-    with pytest.raises(DomainError):
-        em.glued_b4_count(3)
-    assert em.glued_b4_count(4) == 1
+    assert em.glued_b4_family(3) == []
+    assert len(em.glued_b4_family(4)) == 1
     for n in range(5, 10):
-        assert em.glued_b4_count(n) == n - 3
+        assert len(em.glued_b4_family(n)) == n - 3
 
 
 def test_glued_b4_family_members():
@@ -315,7 +314,7 @@ def test_glued_b4_family_members():
     assert len(fam) == 3
     for lat in fam:
         assert lat.n == 6
-        assert em.is_glued_b4_shape(lat)
+        assert em.decomposes_as_chain_b4_chain(lat)
         assert lt.count_two_element_antichains(lat) == 1
     assert not em.decomposes_as_chain_b4_chain(lt.chain(6))
 
@@ -337,7 +336,7 @@ def test_structural_shapes_match_family_isomorphism_oracle():
         b4_family = em.glued_b4_family(n)
         n5_family = em.glued_n5_family(n)
         for lat in em.all_lattices(n):
-            glued_b4 = em.is_glued_b4_shape(lat)
+            glued_b4 = em.decomposes_as_chain_b4_chain(lat)
             assert glued_b4 == any(lt.are_isomorphic(lat, k) for k in b4_family)
             assert glued_b4 == (lt.count_two_element_antichains(lat) == 1)
             glued_n5 = em.is_glued_n5_shape(lat)
@@ -349,10 +348,10 @@ def test_structural_shapes_beyond_the_isomorphism_budget():
     b4_family = em.glued_b4_family(n)
     n5_family = em.glued_n5_family(n)
     assert len(b4_family) == n - 3 and len(n5_family) == n - 4
-    assert all(em.is_glued_b4_shape(lat) for lat in b4_family)
+    assert all(em.decomposes_as_chain_b4_chain(lat) for lat in b4_family)
     assert not any(em.is_glued_n5_shape(lat) for lat in b4_family)
     assert all(em.is_glued_n5_shape(lat) for lat in n5_family)
-    assert not any(em.is_glued_b4_shape(lat) for lat in n5_family)
+    assert not any(em.decomposes_as_chain_b4_chain(lat) for lat in n5_family)
 
 
 def test_extremal_report_n4():

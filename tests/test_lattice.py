@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -191,6 +192,17 @@ def test_glued_sum():
         assert lt.glued_sum(u, v).n == u.n + v.n - 1
 
 
+def test_glued_sum_stacks_many_in_one_pass(monkeypatch):
+    parts = [lt.chain(1), lt.chain(2), lt.chain(3), lt.named("B4"), lt.named("M3"), lt.named("N5")]
+    for a, b, c in itertools.product(parts, repeat=3):
+        assert lt.glued_sum(a, b, c) == lt.glued_sum(lt.glued_sum(a, b), c)
+    built = []
+    real = lt.from_covers
+    monkeypatch.setattr(lt, "from_covers", lambda n, covers: built.append(n) or real(n, covers))
+    g = lt.glued_sum(*parts)
+    assert built == [g.n] == [sum(p.n for p in parts) - len(parts) + 1]
+
+
 def test_dual():
     for l in (lt.chain(4), lt.named("B4"), lt.named("N5"), lt.named("M3")):
         assert lt.dual(lt.dual(l)).covers == l.covers
@@ -203,12 +215,12 @@ def test_dual():
 
 
 def test_prime_intervals():
-    assert [(iv.lo, iv.hi) for iv in lt.prime_intervals(lt.chain(3))] == [(0, 1), (1, 2)]
-    assert len(lt.prime_intervals(lt.named("B4"))) == 4
-    n5 = lt.prime_intervals(lt.named("N5"))
+    assert list(lt.chain(3).covers) == [(0, 1), (1, 2)]
+    assert len(lt.named("B4").covers) == 4
+    n5 = lt.named("N5").covers
     assert len(n5) == 5
     p, q, a = lt.N5_P, lt.N5_Q, lt.N5_A
-    assert {(iv.lo, iv.hi) for iv in n5} == {(0, p), (p, q), (q, 4), (0, a), (a, 4)}
+    assert set(n5) == {(0, p), (p, q), (q, 4), (0, a), (a, 4)}
 
 
 def test_bounds_brute_force():

@@ -40,14 +40,14 @@ def test_bottom_top():
 
 
 def test_equ_pair():
-    p = pt.equ_pair(4, 1, 2)
+    p = pt.join_pairs(4, [(1, 2)])
     assert p.blocks() == [(0,), (1, 2), (3,)]
-    assert pt.equ_pair(4, 2, 2) == pt.bottom(4)
-    assert pt.equ_pair(4, 2, 1) == p
+    assert pt.join_pairs(4, [(2, 2)]) == pt.bottom(4)
+    assert pt.join_pairs(4, [(2, 1)]) == p
     for a, b in [(0, 1), (1, 3), (0, 3)]:
-        assert pt.heq(pt.equ_pair(4, a, b)) == 1
+        assert pt.heq(pt.join_pairs(4, [(a, b)])) == 1
     with pytest.raises(OutOfRange):
-        pt.equ_pair(4, 0, 4)
+        pt.join_pairs(4, [(0, 4)])
 
 
 def test_canonical_form_is_idempotent():
@@ -70,7 +70,7 @@ def test_join_meet_examples():
     p = pt.from_labels([0, 0, 1, 2, 2])
     assert pt.join(p, pt.bottom(5)) == p
     assert pt.meet(p, pt.top(5)) == p
-    j = pt.join(pt.equ_pair(4, 0, 1), pt.equ_pair(4, 1, 2))
+    j = pt.join(pt.join_pairs(4, [(0, 1)]), pt.join_pairs(4, [(1, 2)]))
     assert j.blocks() == [(0, 1, 2), (3,)]
     assert pt.num_blocks(p) == 3 and pt.heq(p) == 2
     with pytest.raises(SizeMismatch):
