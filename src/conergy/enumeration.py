@@ -6,12 +6,12 @@ prefix of a linear extension of a lattice is an order ideal, hence a meet
 semilattice, so it suffices to extend a meet semilattice by a new element
 whose down-set keeps greatest lower bounds intact; adding the final top
 element turns the semilattice into a lattice.  Each prefix carries its
-packed down and up bit rows, its lower covers and its automorphism group
-to its children, so the canonical labelling rebuilds none of them.  Two
-tests drop duplicate children before any canonical form is taken: all
-but the least of the sibling down-sets in one orbit of the parent's
-automorphisms, and a child whose
-new element is not a maximal element of greatest invariant (see
+packed down and up bit rows, its lower covers, and the automorphisms and
+twin classes its canonical labelling found, to its children, so the
+canonical labelling rebuilds none of them.  Two tests drop duplicate
+children before any canonical form is taken: all but the least of the
+sibling down-sets in one orbit of the parent's automorphisms, and a
+child whose new element is not a maximal element of greatest invariant (see
 ``_keyed_lattices`` for why no class is lost).  The rest are deduplicated
 by poset canonical form at every level.  At the last level the top is
 appended before the canonical form is taken: adding a top is a bijection
@@ -116,14 +116,24 @@ def _keyed_lattices(n, fold):
     The children are lattices with no further test: each is a meet
     semilattice, as ``_has_greatest`` checks, with a top appended, and a
     finite meet semilattice with a top is a lattice.  A prefix is a meet
-    semilattice P on 0..k-1 with its down rows,
-    up rows, lower-cover lists and automorphisms; a child P + x adds x = k
-    above the down-set ``mask``.  Before any canonical form is taken:
+    semilattice P on 0..k-1 with its down rows, up rows, lower-cover lists,
+    and the automorphisms R and twin classes that its canonical labelling
+    returned; a child P + x adds x = k above the down-set ``mask``.  Before
+    any canonical form is taken:
 
     - a mask is dropped when an automorphism of P maps it to a smaller
       mask, since masks in one orbit of Aut(P) give isomorphic children;
     - a child is dropped unless x has the greatest (|down-set|, number of
       lower covers) among the maximal elements of the child.
+
+    The orbit test never builds Aut(P) = T.R, T the group of twin swaps.
+    A mask is twin-normal when its part in each twin class is that class's
+    least members.  The least mask of an orbit is twin-normal, since a twin
+    swap can only lower a mask that is not; the twin-normal form is
+    constant on T-orbits; and T is normal in Aut(P), so an orbit is the
+    union of T.r(m) over r in R.  Masks come in increasing order, so
+    keeping a twin-normal mask not yet seen, and marking the twin-normal
+    form of r(mask) for each r in R, keeps exactly each orbit's least mask.
 
     No class is lost.  Take any class, and let y be a maximal element of
     greatest invariant in a member S of it.  S - y is a meet semilattice,
@@ -141,28 +151,39 @@ def _keyed_lattices(n, fold):
         raise BudgetExceeded(f"all_lattices limited to n <= {budget}")
     if n <= 2:
         rows = lt._rows(lt.chain(n))
-        key, _, label = lt.canonical_order_matrix(*rows)
+        key, _, label, _ = lt.canonical_order_matrix(*rows)
         return {key: fold(key, *rows[1:], label)}
-    level = [([1], [1], [[]], ((0,),))]  # (dn, up, lower covers, automorphisms)
+    level = [([1], [1], [[]], ((0,),), ())]  # (dn, up, lower covers, R, twin classes)
     for k in range(1, n - 1):
         last = k == n - 2
         new = 1 << k
         nxt = {}
-        for dn, up, lower, autos in level:
+        for dn, up, lower, autos, twins in level:
             maximal = [y for y in range(k) if up[y] == 1 << y]
             rivals = [((dn[y].bit_count(), len(lower[y])), y) for y in maximal]
             images = [[1 << b for b in g] for g in autos[1:]]
+            # per twin class: its mask, and the masks of its 0, 1, ... least members
+            least = [
+                (sum(1 << b for b in c), [sum(1 << b for b in c[:i]) for i in range(len(c) + 1)])
+                for c in twins
+            ]
+            loose = ~sum(cm for cm, _ in least)
+
+            def normal(m):
+                return m & loose | sum([low[(m & cm).bit_count()] for cm, low in least])
+
             seen = set()  # masks come in increasing order: each orbit's least is kept
             for mask in _down_closed_subsets(dn, k):
-                if mask in seen:
+                if mask in seen or normal(mask) != mask:
                     continue
                 elems = _bits(mask)
-                seen.update(sum([img[b] for b in elems]) for img in images)
+                seen.update(normal(sum([img[b] for b in elems])) for img in images)
                 x_lower = [a for a in elems if up[a] & mask == 1 << a]
                 x_inv = (mask.bit_count() + 1, len(x_lower))
                 if any(inv > x_inv for inv, y in rivals if not mask >> y & 1):
                     continue
-                if not all(_has_greatest(dn, mask & dn[j]) for j in range(k)):
+                # j in the mask is the greatest element of mask & dn[j] = dn[j]
+                if not all(_has_greatest(dn, mask & dn[j]) for j in _bits(~mask & new - 1)):
                     continue
                 dn2 = dn + [mask | new]
                 up2 = [u | new if mask >> a & 1 else u for a, u in enumerate(up)] + [new]
@@ -172,10 +193,12 @@ def _keyed_lattices(n, fold):
                     dn2.append(2 * top - 1)
                     up2 = [u | top for u in up2] + [top]
                     lower2.append([y for y in maximal if not mask >> y & 1] + [k])
-                key, autos2, label = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
+                key, autos2, label, twins2 = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
                 if key not in nxt:
                     nxt[key] = (
-                        fold(key, up2, dn2, lower2, label) if last else (dn2, up2, lower2, autos2)
+                        fold(key, up2, dn2, lower2, label)
+                        if last
+                        else (dn2, up2, lower2, autos2, twins2)
                     )
         level = list(nxt.values())
     return nxt

@@ -7,8 +7,9 @@ set iff a <= b.  All values are immutable after construction.  Covers,
 the join and meet tables and the canonical form all come from the rows:
 the join of a and b is the element whose up-set is up_bits[a] & up_bits[b]
 (one dict lookup, dually for the meet), and the canonical form takes the
-rows and the lower covers themselves, not an order predicate, and finds
-the automorphism group on the way.
+rows and the lower covers themselves, not an order predicate.  It tries
+one order per arrangement of twin classes, and returns the automorphisms
+it meets on the way and the twin classes, whose swaps give the rest.
 """
 
 import itertools
@@ -22,7 +23,8 @@ from .errors import (
     RedundantCover,
 )
 
-# Brute-force isomorphism (with invariant pruning) is only sane up to here.
+# Brute-force isomorphism (with invariant and twin pruning) is only sane up
+# to here: without twins, an invariant class of k elements costs k! orders.
 ISO_BUDGET = 10
 
 # Construction builds n x n join and meet tables: chain 256 took 0.8 s on a
@@ -275,9 +277,25 @@ def _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov):
     return inv
 
 
+def _twin_sorted_orders(twins):
+    """The orders of the union of the twin classes (each ascending) that
+    list every class in increasing label order, in the order that
+    itertools.permutations gives them over the sorted union: at each
+    position the candidates are the least unused member of each class,
+    taken in ascending order."""
+    if len(twins) == 1:
+        yield tuple(twins[0])
+        return
+    for x, i in sorted((c[0], i) for i, c in enumerate(twins)):
+        rest = twins[:i] + ([twins[i][1:]] if len(twins[i]) > 1 else []) + twins[i + 1:]
+        for tail in _twin_sorted_orders(rest):
+            yield (x,) + tail
+
+
 def canonical_order_matrix(n, up, dn, lower):
     """Minimal packed order matrix over all invariant-respecting
-    relabellings of a poset, and the poset's automorphisms.
+    relabellings of a poset, with the automorphisms those relabellings
+    find and the poset's twin classes.
 
     The poset is given by its packed up rows (bit b of ``up[a]`` set iff
     a <= b), its down rows (bit a of ``dn[b]`` set iff a <= b) and the
@@ -290,14 +308,25 @@ def canonical_order_matrix(n, up, dn, lower):
     Rows have n bits each, so comparing the row lists lexicographically
     compares the codes.
 
+    Twins are elements with the same strict down-set and strict up-set,
+    like the atoms of M_k; swapping two twins is an automorphism, so twins
+    share an invariant class.  Within each class only the orders that list
+    every twin class in increasing label order are tried, in the order of
+    the full search.  An optimal order with two twins out of order becomes,
+    after one swap, an optimal order that comes earlier, so the first
+    optimal order, and with it the code and the labelling, is the full
+    search's.
+
     Every automorphism g keeps the invariants, so g o sigma is a candidate
     with the same code as sigma, and two candidates with the same code
-    differ by an automorphism.  The optimal candidates are therefore one
-    coset of Aut(P): with sigma0 the first of them, each optimal tau gives
-    the automorphism sigma0[i] -> tau[i].  Returns (code, automorphisms,
-    label): each automorphism a tuple g with g[x] the image of x, identity
-    first, and label[x] the new label of x under sigma0, so that a <= b
-    iff bit (label[a], label[b]) of the code is set.
+    differ by an automorphism.  With sigma0 the first optimal candidate
+    tried, each optimal tau tried gives the automorphism sigma0[i] ->
+    tau[i]; these form a set R, and Aut(P) = {t o r : t in T, r in R} for
+    T the group the twin swaps generate.  Returns (code, R, label, twins):
+    each automorphism a tuple g with g[x] the image of x, identity first,
+    label[x] the new label of x under sigma0, so that a <= b iff bit
+    (label[a], label[b]) of the code is set, and twins the twin classes of
+    two or more elements, each ascending.
     """
     above = [[b for b in range(n) if row >> b & 1] for row in up]
     upper = [[] for _ in range(n)]
@@ -310,12 +339,24 @@ def canonical_order_matrix(n, up, dn, lower):
     classes = {}
     for a in range(n):
         classes.setdefault(inv[a], []).append(a)
-    groups = [classes[k] for k in sorted(classes)]
+    orders, twins = [], []
+    for k in sorted(classes):
+        g = classes[k]
+        if len(g) > 1:
+            twin_of = {}
+            for a in g:
+                twin_of.setdefault((dn[a] ^ 1 << a, up[a] ^ 1 << a), []).append(a)
+            if len(twin_of) < len(g):
+                cs = list(twin_of.values())
+                twins += [tuple(c) for c in cs if len(c) > 1]
+                orders.append(_twin_sorted_orders(cs))
+                continue
+        orders.append(itertools.permutations(g))
     ties = []
     weight = [0] * n
     powers = [1 << (n - 1 - j) for j in range(n)]
     get = weight.__getitem__
-    for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
+    for parts in itertools.product(*orders):
         sigma = [x for part in parts for x in part]
         for x, w in zip(sigma, powers):
             weight[x] = w
@@ -332,7 +373,7 @@ def canonical_order_matrix(n, up, dn, lower):
     for i, x in enumerate(ties[0]):
         label[x] = i
     automorphisms = tuple(tuple([tau[i] for i in label]) for tau in ties)
-    return bytes([n]) + code.to_bytes(nbytes, "big"), automorphisms, label
+    return bytes([n]) + code.to_bytes(nbytes, "big"), automorphisms, label, tuple(twins)
 
 
 def canonical_form(lat):

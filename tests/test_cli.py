@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -320,6 +321,21 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, ["enumerate", "--n", "5", "--emit"])
     _, second, _ = run(capsys, ["enumerate", "--n", "5", "--emit"])
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (7, "42a904d6bbc85cc11fc2e1aa4aacbb0f4d55d9d0863ba3634f28f745934955a9"),
+        (8, "0f8c4e595ec3bbe8bf7275e7fe4063f98d7623fdcf5f67c49722136757cdebd0"),
+    ],
+)
+def test_enumerate_emit_output_is_pinned(capsys, monkeypatch, n, digest):
+    # any change to a canonical code, a cover relabelling or the record order shows here
+    monkeypatch.setenv(em.BUDGET_ENV, str(n))
+    code, out, _ = run(capsys, ["enumerate", "--n", str(n), "--emit"])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def quiet_main(argv):

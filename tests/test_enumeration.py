@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -100,13 +101,13 @@ def test_canonical_form_matches_predicate_oracle(monkeypatch):
         def leq_fn(a, b):
             return bool(up[a] >> b & 1)
 
-        got, autos, label = fast(n, up, dn, lower)
+        got, autos, label, twins = fast(n, up, dn, lower)
         code, first = predicate_canonical_order_matrix(n, leq_fn)
         assert got == code == relabelled_code(up, label)
         assert [label[x] for x in first] == list(range(n))  # the first optimal relabelling
         assert all(preserves_order(g, up) for g in autos)
         sizes.append(n)
-        return got, autos, label
+        return got, autos, label, twins
 
     monkeypatch.setattr(lt, "canonical_order_matrix", checked)
     for n in range(1, 9):
@@ -170,9 +171,9 @@ def test_labelled_children_pass_both_pruning_tests(monkeypatch):
             assert k in maximal and invariant[maximal.index(k)] == max(invariant)
             parent = tuple(u & ((1 << k) - 1) for u in up[:k])
             children.setdefault(parent, []).append(dn[k] & ~(1 << k))
-            got, autos, label = fast(size, up, dn, lower)
+            got, autos, label, twins = fast(size, up, dn, lower)
             assert got == relabelled_code(up, label)
-            return got, autos, label
+            return got, autos, label, twins
 
         monkeypatch.setattr(lt, "canonical_order_matrix", checked)
         assert len(em.all_lattices(n)) == KNOWN_COUNTS[n]
@@ -188,25 +189,69 @@ def brute_automorphisms(up):
     return {g for g in itertools.permutations(range(n)) if preserves_order(g, up)}
 
 
+def twin_times(autos, twins, n):
+    """T.R: each automorphism t o r, for t in the group T that the swaps
+    within each twin class generate and r in autos, identity first."""
+    group = []
+    for perms in itertools.product(*(itertools.permutations(c) for c in twins)):
+        t = list(range(n))
+        for c, p in zip(twins, perms):
+            for x, y in zip(c, p):
+                t[x] = y
+        group.append(t)
+    return [tuple(t[r[x]] for x in range(n)) for r in autos for t in group]
+
+
 def test_automorphisms_are_the_order_automorphisms(monkeypatch):
     # every prefix and lattice the generator labels, and every lattice
     fast = lt.canonical_order_matrix
     seen = []
 
     def checked(n, up, dn, lower):
-        got, autos, label = fast(n, up, dn, lower)
+        got, autos, label, twins = fast(n, up, dn, lower)
         assert got == relabelled_code(up, label)
-        assert autos[0] == tuple(range(n))
-        assert len(set(autos)) == len(autos)
-        assert set(autos) == brute_automorphisms(up)
+        group = twin_times(autos, twins, n)
+        assert group[0] == tuple(range(n))
+        assert len(set(group)) == len(group)
+        assert set(group) == brute_automorphisms(up)
         seen.append(n)
-        return got, autos, label
+        return got, autos, label, twins
 
     monkeypatch.setattr(lt, "canonical_order_matrix", checked)
     for n in range(1, 7):
         for lat in em.all_lattices(n):
             lt.canonical_form(lat)
     assert set(seen) == set(range(1, 7))
+
+
+def test_twin_classes_keep_the_first_optimal_labelling():
+    # atoms 1..4, 5 above 1 and 4, 6 above 2 and 3: two twin classes in
+    # one invariant class, and an automorphism that swaps them
+    lat = lt.from_covers(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (4, 5), (2, 6), (3, 6), (5, 7), (6, 7)])
+    n, up, dn, lower = lt._rows(lat)
+    got, autos, label, twins = lt.canonical_order_matrix(n, up, dn, lower)
+    code, first = predicate_canonical_order_matrix(n, lat.leq)
+    assert got == code
+    assert [label[x] for x in first] == list(range(n))
+    assert twins == ((1, 4), (2, 3))
+    assert len(autos) == 2
+    group = twin_times(autos, twins, n)
+    assert len(group) == len(set(group)) == 8
+    assert set(group) == brute_automorphisms(up)
+
+
+def test_diamonds_try_one_order_per_twin_class():
+    rng = random.Random(15)
+    for k in range(3, lt.ISO_BUDGET - 1):
+        n = k + 2
+        lat = lt.from_covers(n, [(0, a) for a in range(1, k + 1)] + [(a, n - 1) for a in range(1, k + 1)])
+        _, autos, _, twins = lt.canonical_order_matrix(*lt._rows(lat))
+        assert autos == (tuple(range(n)),)
+        assert twins == (tuple(range(1, k + 1)),)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        shuffled = lt.from_covers(n, [(perm[a], perm[b]) for a, b in lat.covers])
+        assert lt.canonical_form(shuffled) == lt.canonical_form(lat)
 
 
 def test_generator_matches_brute_oracle():
