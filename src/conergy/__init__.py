@@ -44,7 +44,6 @@ from .energy import (
     spectrum,
 )
 from .enumeration import (
-    ExtremalReport,
     all_lattices,
     all_lattices_brute,
     extremal_report,

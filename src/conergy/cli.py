@@ -156,21 +156,17 @@ def cmd_quotient(args):
     lat = load_lattice(args)
     theta = pt.Partition(lat.n, load_json(args.by, "--by"))
     q, block_map = cg.quotient(lat, theta)
-    _emit(
-        {"n": q.n, "covers": [list(c) for c in q.covers], "block_map": list(block_map)},
-        args.out,
-    )
+    _emit({**q.to_json_dict(), "block_map": list(block_map)}, args.out)
     return EXIT_OK
 
 
 def cmd_enumerate(args):
     report = enum_mod.extremal_report(args.n)
-    doc = report.to_json_dict()
-    if not args.emit:
-        for rec in doc["records"]:
-            del rec["covers"]
-    _emit(doc, args.out)
-    bad = [v for _, v in report.verdicts if v.startswith("fails")]
+    if args.emit:
+        for rec in report["records"]:
+            rec["covers"] = enum_mod.covers_from_key(bytes.fromhex(rec["canon"]))
+    _emit(report, args.out)
+    bad = [v for v in report["verdicts"].values() if v.startswith("fails")]
     return EXIT_COUNTEREXAMPLE if bad else EXIT_OK
 
 
@@ -230,7 +226,7 @@ def _report_suite(key, max_n, first_n=1):
     details = []
     ok = True
     for n in range(first_n, max_n + 1):
-        verdict = dict(enum_mod.extremal_report(n).verdicts)[key]
+        verdict = enum_mod.extremal_report(n)["verdicts"][key]
         details.append(f"n={n}: {verdict}")
         if verdict.startswith("fails"):
             ok = False

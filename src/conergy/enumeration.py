@@ -18,18 +18,18 @@ appended before the canonical form is taken: adding a top is a bijection
 from (n-1)-element meet semilattices onto n-element lattices, so the key
 is already the lattice's canonical form.  ``extremal_report`` folds the
 first child of each class into its record there, on the child's own rows:
-CE and |Con| from the down-sets of J (``congruence._row_energies``), the
-antichain and shape tests, and the covers relabelled by the canonical
-labelling.  No Lattice, and so no join or meet table, is built per class;
-``all_lattices`` builds a validated one from each key, in its canonical
-labelling.
+CE and |Con| from the down-sets of J (``congruence._row_energies``), and
+the antichain and shape tests.  No Lattice, and so no join or meet table,
+is built per class.  The key is the order matrix in the canonical
+labelling, so the covers follow from it alone: ``covers_from_key`` decodes
+them when they are asked for, and ``all_lattices`` builds a validated
+Lattice from each key.
 
 An independent labeled-poset oracle (enumerate all naturally labeled
 posets, filter the lattice property) guards completeness at small sizes.
 """
 
 import os
-from dataclasses import dataclass
 
 from . import congruence as cg
 from . import counting as ct
@@ -71,15 +71,7 @@ def _has_greatest(dn, subset):
 
 
 def _lattice_from_dn(dn):
-    n = len(dn)
-    up = [0] * n
-    for b in range(n):
-        m = dn[b]
-        while m:
-            a = (m & -m).bit_length() - 1
-            up[a] |= 1 << b
-            m &= m - 1
-    return lt.from_order_bits(n, up)
+    return lt.from_order_bits(len(dn), lt._transpose(dn))
 
 
 def all_lattices(n):
@@ -106,12 +98,18 @@ def _up_rows_from_code(code):
     return [int(format(row, f"0{n}b")[::-1], 2) for row in rows]
 
 
+def covers_from_key(key):
+    """The covering pairs (lo, hi), sorted, of the lattice whose canonical
+    form is ``key``, in its canonical labelling."""
+    up = _up_rows_from_code(key)
+    return lt._covers_from_order(key[0], up, lt._transpose(up))
+
+
 def _keyed_lattices(n, fold):
-    """{canonical form: fold(key, up, dn, lower, label)} over the iso
-    classes of order n, fold called once per class, on the rows of the
-    first child in that class: up and down rows, lower-cover lists, and
-    label, the child's canonical labelling (see
-    ``lattice.canonical_order_matrix``).
+    """{canonical form: fold(key, up, dn, lower)} over the iso classes of
+    order n, fold called once per class, on the rows of the first child in
+    that class: its up and down rows and lower-cover lists, in the child's
+    own labelling.
 
     The children are lattices with no further test: each is a meet
     semilattice, as ``_has_greatest`` checks, with a top appended, and a
@@ -151,8 +149,8 @@ def _keyed_lattices(n, fold):
         raise BudgetExceeded(f"all_lattices limited to n <= {budget}")
     if n <= 2:
         rows = lt._rows(lt.chain(n))
-        key, _, label, _ = lt.canonical_order_matrix(*rows)
-        return {key: fold(key, *rows[1:], label)}
+        key = lt.canonical_order_matrix(*rows)[0]
+        return {key: fold(key, *rows[1:])}
     level = [([1], [1], [[]], ((0,),), ())]  # (dn, up, lower covers, R, twin classes)
     for k in range(1, n - 1):
         last = k == n - 2
@@ -193,10 +191,10 @@ def _keyed_lattices(n, fold):
                     dn2.append(2 * top - 1)
                     up2 = [u | top for u in up2] + [top]
                     lower2.append([y for y in maximal if not mask >> y & 1] + [k])
-                key, autos2, label, twins2 = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
+                key, autos2, _, twins2 = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
                 if key not in nxt:
                     nxt[key] = (
-                        fold(key, up2, dn2, lower2, label)
+                        fold(key, up2, dn2, lower2)
                         if last
                         else (dn2, up2, lower2, autos2, twins2)
                     )
@@ -300,135 +298,84 @@ def is_glued_n5_shape(lat):
     return _core_shape(*lt._rows(lat)) == (5, 5)
 
 
-@dataclass(frozen=True)
-class LatticeRecord:
-    canon: str                # canonical form, hex
-    covers: tuple
-    ce: int
-    con_size: int
-    is_chain: bool
-    antichain_pairs: int
-    glued_b4: bool
-    glued_n5: bool
-
-    def to_json_dict(self):
-        return {
-            "canon": self.canon,
-            "covers": [list(c) for c in self.covers],
-            "ce": self.ce,
-            "con_size": self.con_size,
-            "is_chain": self.is_chain,
-            "antichain_pairs": self.antichain_pairs,
-            "glued_b4": self.glued_b4,
-            "glued_n5": self.glued_n5,
-        }
-
-
-@dataclass(frozen=True)
-class ExtremalReport:
-    n: int
-    lattice_count: int
-    max_ce: int
-    max_witnesses: tuple      # canon hex strings
-    second_ce: object         # int or None (no non-chain below n = 4)
-    second_witnesses: tuple
-    records: tuple
-    verdicts: tuple           # ((name, verdict-string), ...)
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "lattice_count": self.lattice_count,
-            "max_ce": self.max_ce,
-            "max_witnesses": list(self.max_witnesses),
-            "second_ce": self.second_ce,
-            "second_witnesses": list(self.second_witnesses),
-            "records": [r.to_json_dict() for r in self.records],
-            "verdicts": {k: v for k, v in self.verdicts},
-        }
-
-
 def _verdict(ok, detail=""):
     return "holds" if ok else f"fails: {detail}"
 
 
-def _record(key, up, dn, lower, label):
-    """The LatticeRecord of the lattice with these rows, whose canonical
-    form is key and canonical labelling label; its covers are given in
-    the canonical labels."""
+def _record(key, up, dn, lower):
+    """The report record of the lattice with these rows, whose canonical
+    form is key."""
     n = len(up)
     energies = cg._row_energies(n, up, dn, lower)
     pairs = lt._antichain_pairs(n, up, dn)
     shape = _core_shape(n, up, dn, lower)
-    return LatticeRecord(
-        canon=key.hex(),
-        covers=tuple(sorted((label[y], label[x]) for x, ys in enumerate(lower) for y in ys)),
-        ce=sum(energies),
-        con_size=len(energies),
-        is_chain=pairs == 0,
-        antichain_pairs=pairs,
-        glued_b4=shape == (4, 4),
-        glued_n5=shape == (5, 5),
-    )
+    return {
+        "canon": key.hex(),
+        "ce": sum(energies),
+        "con_size": len(energies),
+        "is_chain": pairs == 0,
+        "antichain_pairs": pairs,
+        "glued_b4": shape == (4, 4),
+        "glued_n5": shape == (5, 5),
+    }
 
 
 def extremal_report(n):
-    """Per-class CE and |Con| plus verdicts for the extremal statements.
-    Each record is made from the generator's own rows of the class, with
-    no Lattice built."""
+    """The JSON report document of order n: per-class CE and |Con|, in
+    canonical-form order, the max and second witnesses, and the verdicts
+    of the extremal statements by name; ``second_ce`` is None below order
+    4, where the chain is the only lattice.  Each record is made from the
+    generator's own rows of the class, with no Lattice built."""
     records = [r for _, r in sorted(_keyed_lattices(n, _record).items())]
-    max_ce = max(r.ce for r in records)
-    max_wit = tuple(r.canon for r in records if r.ce == max_ce)
-    rest = [r for r in records if r.ce < max_ce]
-    second_ce = max((r.ce for r in rest), default=None)
-    second_wit = tuple(r.canon for r in rest if r.ce == second_ce) if rest else ()
+    max_ce = max(r["ce"] for r in records)
+    rest = [r for r in records if r["ce"] < max_ce]
+    second_ce = max((r["ce"] for r in rest), default=None)
+    nonchains = [r for r in records if not r["is_chain"]]
 
-    verdicts = []
-    chains = [r for r in records if r.is_chain]
+    chains = [r for r in records if r["is_chain"]]
     v_b = (
         len(chains) == 1
-        and chains[0].ce == ct.g_max(n)
-        and all(r.ce < ct.g_max(n) for r in records if not r.is_chain)
+        and chains[0]["ce"] == ct.g_max(n)
+        and all(r["ce"] < ct.g_max(n) for r in nonchains)
     )
-    verdicts.append(("thm_b", _verdict(v_b, "chain is not the unique maximizer")))
+    verdicts = {"thm_b": _verdict(v_b, "chain is not the unique maximizer")}
 
     if n >= 4:
         gsb = ct.g_sb(n)
-        at_gsb = {r.canon for r in records if r.ce == gsb}
-        one_pair = {r.canon for r in records if r.antichain_pairs == 1}
-        glued = {r.canon for r in records if r.glued_b4}
-        below = all(r.ce <= gsb for r in records if not r.is_chain)
+        at_gsb = {r["canon"] for r in records if r["ce"] == gsb}
+        one_pair = {r["canon"] for r in records if r["antichain_pairs"] == 1}
+        glued = {r["canon"] for r in records if r["glued_b4"]}
+        below = all(r["ce"] <= gsb for r in nonchains)
         v_c = below and at_gsb == one_pair == glued
-        verdicts.append(("thm_c", _verdict(v_c, "g_sb witness sets differ")))
+        verdicts["thm_c"] = _verdict(v_c, "g_sb witness sets differ")
     else:
-        verdicts.append(("thm_c", "skipped-budget"))
+        verdicts["thm_c"] = "skipped-budget"
 
-    v_many = all(r.con_size <= 2 ** (n - 1) for r in records) and all(
-        (r.con_size == 2 ** (n - 1)) == r.is_chain for r in records
+    v_many = all(r["con_size"] <= 2 ** (n - 1) for r in records) and all(
+        (r["con_size"] == 2 ** (n - 1)) == r["is_chain"] for r in records
     ) and all(
-        (r.con_size == 2 ** (n - 2)) == r.glued_b4 and r.con_size <= 2 ** (n - 2)
-        for r in records
-        if not r.is_chain
+        (r["con_size"] == 2 ** (n - 2)) == r["glued_b4"] and r["con_size"] <= 2 ** (n - 2)
+        for r in nonchains
     )
-    verdicts.append(("manycon", _verdict(v_many, "congruence-count bounds violated")))
+    verdicts["manycon"] = _verdict(v_many, "congruence-count bounds violated")
 
     if n >= 5:
         v_pent = all(
-            r.ce == ct.g_pn(n) and r.con_size == 5 * 2 ** (n - 5)
+            r["ce"] == ct.g_pn(n) and r["con_size"] == 5 * 2 ** (n - 5)
             for r in records
-            if r.glued_n5
+            if r["glued_n5"]
         )
-        verdicts.append(("pentagon", _verdict(v_pent, "pentagon family values off")))
+        verdicts["pentagon"] = _verdict(v_pent, "pentagon family values off")
     else:
-        verdicts.append(("pentagon", "skipped-budget"))
+        verdicts["pentagon"] = "skipped-budget"
 
-    return ExtremalReport(
-        n=n,
-        lattice_count=len(records),
-        max_ce=max_ce,
-        max_witnesses=max_wit,
-        second_ce=second_ce,
-        second_witnesses=second_wit,
-        records=tuple(records),
-        verdicts=tuple(verdicts),
-    )
+    return {
+        "n": n,
+        "lattice_count": len(records),
+        "max_ce": max_ce,
+        "max_witnesses": [r["canon"] for r in records if r["ce"] == max_ce],
+        "second_ce": second_ce,
+        "second_witnesses": [r["canon"] for r in rest if r["ce"] == second_ce],
+        "records": records,
+        "verdicts": verdicts,
+    }

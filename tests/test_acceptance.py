@@ -68,9 +68,9 @@ def test_04_extremal_exhaustive():
     counts = []
     for n in (4, 5, 6, 7):
         rep = em.extremal_report(n)
-        verdicts = dict(rep.verdicts)
+        verdicts = rep["verdicts"]
         ok = ok and verdicts["thm_b"] == "holds" and verdicts["thm_c"] == "holds"
-        counts.append(rep.lattice_count)
+        counts.append(rep["lattice_count"])
     dt = time.time() - t0
     ok = ok and counts == [2, 5, 15, 53] and dt < 300
     report("chain unique maximizer + second tier, n = 4..7", ok, f"{counts} classes, {dt:.1f}s")
@@ -78,7 +78,7 @@ def test_04_extremal_exhaustive():
 
 def test_05_congruence_count_bounds():
     ok = all(
-        dict(em.extremal_report(n).verdicts)["manycon"] == "holds"
+        em.extremal_report(n)["verdicts"]["manycon"] == "holds"
         for n in range(1, 8)
     )
     report("congruence-count ceilings with equality cases, n <= 7", ok)

@@ -338,6 +338,15 @@ def test_enumerate_emit_output_is_pinned(capsys, monkeypatch, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_enumerate_output_without_emit_is_pinned(capsys, monkeypatch):
+    # the records without covers, which are decoded from the key only under --emit
+    monkeypatch.setenv(em.BUDGET_ENV, "8")
+    code, out, _ = run(capsys, ["enumerate", "--n", "8"])
+    assert code == cli.EXIT_OK
+    digest = "4bae635703403c688cd8a962db716acf37124ea3ddaad02c2f1ad66c7acd3a67"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def quiet_main(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main(argv)

@@ -401,40 +401,40 @@ def test_structural_shapes_beyond_the_isomorphism_budget():
 
 def test_extremal_report_n4():
     rep = em.extremal_report(4)
-    assert rep.lattice_count == 2
-    assert rep.max_ce == ct.g_max(4) == 24
-    assert len(rep.max_witnesses) == 1
-    assert rep.second_ce == ct.g_sb(4) == 14
-    assert dict(rep.verdicts)["thm_b"] == "holds"
-    assert dict(rep.verdicts)["thm_c"] == "holds"
-    assert dict(rep.verdicts)["manycon"] == "holds"
-    assert dict(rep.verdicts)["pentagon"] == "skipped-budget"
+    assert rep["lattice_count"] == 2
+    assert rep["max_ce"] == ct.g_max(4) == 24
+    assert len(rep["max_witnesses"]) == 1
+    assert rep["second_ce"] == ct.g_sb(4) == 14
+    assert rep["verdicts"]["thm_b"] == "holds"
+    assert rep["verdicts"]["thm_c"] == "holds"
+    assert rep["verdicts"]["manycon"] == "holds"
+    assert rep["verdicts"]["pentagon"] == "skipped-budget"
 
 
 def test_extremal_report_n5():
     rep = em.extremal_report(5)
-    assert rep.lattice_count == 5
-    assert rep.max_ce == 64
-    assert rep.second_ce == 36
-    assert len(rep.second_witnesses) == 2  # the two chain+B4 stackings
-    verdicts = dict(rep.verdicts)
+    assert rep["lattice_count"] == 5
+    assert rep["max_ce"] == 64
+    assert rep["second_ce"] == 36
+    assert len(rep["second_witnesses"]) == 2  # the two chain+B4 stackings
+    verdicts = rep["verdicts"]
     assert all(v == "holds" for v in verdicts.values())
 
 
 def test_extremal_report_n6_verdicts():
-    verdicts = dict(em.extremal_report(6).verdicts)
+    verdicts = em.extremal_report(6)["verdicts"]
     assert all(v == "holds" for v in verdicts.values())
 
 
 def test_report_records_consistent():
     rep = em.extremal_report(5)
-    for r in rep.records:
-        lat = lt.from_covers(5, list(r.covers))
+    for r in rep["records"]:
+        lat = lt.from_covers(5, list(em.covers_from_key(bytes.fromhex(r["canon"]))))
         con = cg.all_congruences(lat)
-        assert r.ce == en.congruence_energy(con)
-        assert r.con_size == len(con)
-        assert r.is_chain == lt.is_chain(lat)
-        assert r.glued_b4 == (r.antichain_pairs == 1)
+        assert r["ce"] == en.congruence_energy(con)
+        assert r["con_size"] == len(con)
+        assert r["is_chain"] == lt.is_chain(lat)
+        assert r["glued_b4"] == (r["antichain_pairs"] == 1)
 
 
 def covers_from_code(code):
@@ -456,11 +456,14 @@ def covers_from_code(code):
 
 def test_records_are_labelled_by_their_key():
     for n in range(1, 9):
-        for r in em.extremal_report(n).records:
-            assert r.covers == covers_from_code(bytes.fromhex(r.canon))
-            assert all(a < b for a, b in r.covers)  # bottom 0, top n - 1
-            lat = lt.from_covers(n, list(r.covers))
-            assert lt.canonical_form(lat).hex() == r.canon
+        for r in em.extremal_report(n)["records"]:
+            key = bytes.fromhex(r["canon"])
+            covers = em.covers_from_key(key)
+            assert covers == covers_from_code(key)
+            assert covers == lt.from_order_bits(n, em._up_rows_from_code(key)).covers
+            assert all(a < b for a, b in covers)  # bottom 0, top n - 1
+            lat = lt.from_covers(n, list(covers))
+            assert lt.canonical_form(lat).hex() == r["canon"]
 
 
 def lattice_route_record(key):
@@ -468,31 +471,30 @@ def lattice_route_record(key):
     from a validated Lattice rebuilt from the key."""
     lat = lt.from_order_bits(key[0], em._up_rows_from_code(key))
     energies = cg.congruence_energies(lat)
-    return em.LatticeRecord(
-        canon=key.hex(),
-        covers=lat.covers,
-        ce=sum(energies),
-        con_size=len(energies),
-        is_chain=lt.is_chain(lat),
-        antichain_pairs=lt.count_two_element_antichains(lat),
-        glued_b4=em.decomposes_as_chain_b4_chain(lat),
-        glued_n5=em.is_glued_n5_shape(lat),
-    )
+    return {
+        "canon": key.hex(),
+        "ce": sum(energies),
+        "con_size": len(energies),
+        "is_chain": lt.is_chain(lat),
+        "antichain_pairs": lt.count_two_element_antichains(lat),
+        "glued_b4": em.decomposes_as_chain_b4_chain(lat),
+        "glued_n5": em.is_glued_n5_shape(lat),
+    }
 
 
 def test_folded_records_match_the_lattice_route():
     # each record is folded from the rows of the generator's first child
     # in its class, in that child's labelling, not from the key
     for n in range(1, 9):
-        records = em.extremal_report(n).records
+        records = em.extremal_report(n)["records"]
         assert len(records) == KNOWN_COUNTS[n]
         for r in records:
-            assert r == lattice_route_record(bytes.fromhex(r.canon))
+            assert r == lattice_route_record(bytes.fromhex(r["canon"]))
 
 
 def test_report_deterministic_and_json_stable():
-    a = em.extremal_report(5).to_json_dict()
-    b = em.extremal_report(5).to_json_dict()
+    a = em.extremal_report(5)
+    b = em.extremal_report(5)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
