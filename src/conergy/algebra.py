@@ -8,9 +8,11 @@ images on bitmasks of pairs, with one union-find per distinct result
 (after Freese, "Computing congruences efficiently", 2008).  Con(A) need
 not be distributive, so it is the join-closure of the principal
 congruences, built by ``congruence.join_closure`` over the
-join-irreducible ones under its CON_BUDGET.  ``ce_bound_check`` tests
-distributivity of Con(A) for real, by ``congruence.is_distributive``'s
-down-set count, since for an algebra it is a hypothesis, not a theorem.
+join-irreducible ones under its CON_BUDGET.  The result has the one form
+every congruence lattice has: each member's down-set over J and J's
+strict order.  ``ce_bound_check`` tests distributivity of Con(A) for real,
+by ``congruence.is_distributive``'s down-set count over that order, since
+for an algebra it is a hypothesis, not a theorem.
 """
 
 import itertools

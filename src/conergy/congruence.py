@@ -24,20 +24,23 @@ down-set D has energy 2 #{x : D meets S_x}.  With hit[t] the bitmask of
 the x with t in S_x, that is one OR and one popcount per member.
 
 Algebras, whose Con need not be distributive, use the generic
-``join_closure``: it drops every generator that is the join of those
-strictly below it and closes the rest under joins on rep tuples, with a
-pair bitmask per member for the order test.  Every route stops with
+``join_closure``: it keeps the generators that are not the join of those
+strictly below it, which are the join-irreducibles J of the closure, and
+closes them under joins on rep tuples, with a pair bitmask per member for
+the order test that stays inside the closure.  Every route stops with
 BudgetExceeded once Con passes CON_BUDGET members.  Perspectivity
 reachability over prime intervals and a brute-force filter over all
 partitions stay as cross-check oracles.
 
-Distributivity of a congruence lattice is decided by Birkhoff's count:
-a finite lattice is distributive iff it has as many elements as its
-join-irreducibles have down-sets.  Its join-irreducibles are found by
-``join_closure``'s generator filter, and their down-sets are grown by the
-same breadth-first routine that builds Con(L).  Booleanness of a distributive
-one is decided by counting too, since a finite distributive lattice is
-boolean iff it has 2^(number of atoms) elements.
+So every ``CongruenceLattice`` has one form, whichever route built it:
+its members, the down-set over J of each, and J's strict order.
+Distributivity is Birkhoff's count: x -> {j in J : j <= x} embeds a finite
+lattice into the down-sets O(J), so it is distributive iff it has as many
+members as J has down-sets, grown by the same breadth-first routine that
+builds Con(L).  Booleanness of a distributive one is decided by counting
+too, since a finite distributive lattice is boolean iff it has 2^(number
+of atoms) elements, and the atoms are the members with one member of J
+below them.
 """
 
 from dataclasses import dataclass, field
@@ -63,12 +66,11 @@ CON_BUDGET = 1 << 14
 class CongruenceLattice:
     host_n: int
     members: tuple  # Partition tuple, sorted by (heq, rep)
-    # from all_congruences: down_sets[i] is the set of join-irreducibles
-    # below members[i], a bitmask over J numbered as cover_labels numbers
-    # it; else None
-    down_sets: tuple = field(default=None, compare=False)
-    # from join_closure: pair_masks[i] is _pair_mask of members[i]; else None
-    pair_masks: tuple = field(default=None, compare=False)
+    # down_sets[i]: the bitmask of the members of J below members[i], J
+    # numbered along a linear extension of its order
+    down_sets: tuple = field(compare=False)
+    # below[t]: the bitmask of the members of J strictly below member t of J
+    below: tuple = field(compare=False)
 
     def __len__(self):
         return len(self.members)
@@ -85,16 +87,9 @@ class CongruenceLattice:
         return pt.top(self.host_n)
 
     def atoms(self):
-        """Members covering the bottom of Con: p <= q iff p's pair mask lies
-        inside q's, and the bottom's mask has one bit per point."""
-        non_bottom = [
-            (m, pairs) for m, pairs in zip(self.members, _member_masks(self))
-            if pairs.bit_count() > self.host_n
-        ]
-        return [
-            m for m, pairs in non_bottom
-            if not any(q != pairs and q & ~pairs == 0 for _, q in non_bottom)
-        ]
+        """The members with one member of J below them: an atom is
+        join-irreducible, and a minimal member of J is an atom."""
+        return [m for m, d in zip(self.members, self.down_sets) if d.bit_count() == 1]
 
 
 def _sorted_with(members, data):
@@ -190,24 +185,16 @@ def _pair_mask(rep):
     return sum(block[r] << i * n for i, r in enumerate(rep))
 
 
-def _member_masks(c):
-    """The pair mask of each member of c: those join_closure kept, else
-    made now."""
-    if c.pair_masks is not None:
-        return c.pair_masks
-    return tuple(_pair_mask(m.rep) for m in c.members)
-
-
 def _join_irreducible_generators(n, masks):
-    """The (rep, pair mask) of each generator, given as {rep: pair mask},
-    that is not the join of the generators strictly below it (the bottom
-    among them).  Every dropped generator is a join of the kept ones, so
-    they generate the same joins."""
-    kept = []
+    """The generators, given as {rep: pair mask}, that are not the join of
+    the generators strictly below them (the bottom among them), in the same
+    form.  Every dropped generator is a join of the kept ones, so they
+    generate the same joins."""
+    kept = {}
     for g, g_pairs in masks.items():
         below = [h for h, h_pairs in masks.items() if h_pairs & ~g_pairs == 0 and h != g]
         if pt.union_find(list(range(n)), _rep_pairs(below)) != g:
-            kept.append((g, g_pairs))
+            kept[g] = g_pairs
     return kept
 
 
@@ -217,14 +204,13 @@ def join_closure(n, generators):
     has more than CON_BUDGET members.  For algebras, whose Con need not be
     distributive.
 
-    The closure runs over the join-irreducible generators only, on rep
-    tuples, each with its pair mask for the <= test, and builds each
-    member's Partition once, at the end.  The masks stay on the result, for
-    ``is_distributive`` and ``atoms``."""
-    masks = {g.rep: _pair_mask(g.rep) for g in generators}
-    gens = [
-        (g_pairs, _rep_pairs([g])) for g, g_pairs in _join_irreducible_generators(n, masks)
-    ]
+    Every member is a join of generators, so the kept generators, those not
+    the join of the generators strictly below them, are exactly J.  The
+    closure runs over them on rep tuples, each with its pair mask for the
+    <= test, and builds each member's Partition once, at the end, with the
+    members of J whose pair masks lie inside its own as its down-set."""
+    jis = _join_irreducible_generators(n, {g.rep: _pair_mask(g.rep) for g in generators})
+    gens = [(g_pairs, _rep_pairs([g])) for g, g_pairs in jis.items()]
     bottom = tuple(range(n))
     members = {bottom: _pair_mask(bottom)}
     frontier = [bottom]
@@ -241,8 +227,13 @@ def join_closure(n, generators):
                     fresh.append(h)
                     _budget_check(members)
         frontier = fresh
-    parts, masks = _sorted_with([pt.Partition(n, h) for h in members], members.values())
-    return CongruenceLattice(n, parts, pair_masks=masks)
+    j_pairs, below = _inclusion_order(jis.values())
+    downs = [
+        sum(1 << t for t, j in enumerate(j_pairs) if j & ~pairs == 0)
+        for pairs in members.values()
+    ]
+    parts, downs = _sorted_with([pt.Partition(n, h) for h in members], downs)
+    return CongruenceLattice(n, parts, downs, below)
 
 
 def _rep_pairs(reps):
@@ -256,7 +247,7 @@ def _inclusion_order(masks):
     inclusion, and below[t]: the bitmask of the s whose mask lies strictly
     inside mask t."""
     masks = sorted(set(masks), key=lambda c: (c.bit_count(), c))
-    below = [sum(1 << s for s in range(t) if masks[s] & ~c == 0) for t, c in enumerate(masks)]
+    below = tuple(sum(1 << s for s in range(t) if masks[s] & ~c == 0) for t, c in enumerate(masks))
     return masks, below
 
 
@@ -297,7 +288,7 @@ def all_congruences(lat):
         members.append(pt.join(members[i], gens[t]))
         masks.append(mask)
         _budget_check(members)
-    return CongruenceLattice(lat.n, *_sorted_with(members, masks))
+    return CongruenceLattice(lat.n, *_sorted_with(members, masks), below)
 
 
 def cover_labels(lat):
@@ -387,9 +378,10 @@ def _row_energies(n, up, dn, lower):
 
 
 def brute_force_congruences(lat):
-    """Oracle route: filter every partition through the checker."""
+    """Oracle route: filter every partition through the checker.  The
+    members, as a tuple sorted by (heq, rep)."""
     members = [p for p in pt.all_partitions(lat.n) if is_congruence(lat, p)]
-    return CongruenceLattice(lat.n, _sorted_with(members, members)[0])
+    return tuple(sorted(members, key=lambda m: (pt.heq(m), m.rep)))
 
 
 def quotient(lat, theta):
@@ -454,21 +446,10 @@ def is_distributive(c):
     """Whether the congruence lattice c (of a lattice or an algebra) is
     distributive, by Birkhoff's count: x -> {j in J : j <= x} embeds a
     finite lattice into the down-sets O(J) of its join-irreducibles J, so
-    c is distributive iff |c| = |O(J)|.  The count stops once it passes |c|.
-
-    Every member is the join of the principal congruences below it, so J
-    is the set of principal members that are not the join of the principal
-    members strictly below them, which ``join_closure``'s generator filter
-    keeps.  con(a, b) is the first member in (heq, rep) order to collapse
-    (a, b), the bit a * n + b of a pair mask."""
-    principals, seen = {}, 0
-    for m, pairs in zip(c.members, _member_masks(c)):
-        if pairs & ~seen:
-            principals[m.rep] = pairs
-            seen |= pairs
-    jis = _join_irreducible_generators(c.host_n, principals)
+    c is distributive iff |c| = |O(J)|.  The count runs over ``c.below``
+    and stops once it passes |c|."""
     count = 1
-    for _ in _down_set_steps(_inclusion_order(mask for _, mask in jis)[1]):
+    for _ in _down_set_steps(c.below):
         count += 1
         if count > len(c):
             return False

@@ -17,6 +17,7 @@ from . import partition as pt
 from .errors import NoConvergence, SizeMismatch
 
 MAX_SWEEPS = 64
+TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,19 +63,17 @@ def _off_norm(a, n):
     return math.sqrt(s)
 
 
-def spectrum(m, tol=1e-12):
+def spectrum(m):
     """Eigenvalues of a symmetric 0/1 matrix, descending.
 
     Cyclic-by-row Jacobi sweeps; converged when the off-diagonal Frobenius
-    norm drops below tol*n.  The sweep cap is a defect detector: these
+    norm drops below TOL*n.  The sweep cap is a defect detector: these
     matrices converge in a handful of sweeps.
     """
-    if tol <= 0:
-        raise SizeMismatch("tol must be positive")
     n = m.n
     a = [[float(x) for x in row] for row in m.rows]
     for _ in range(MAX_SWEEPS):
-        if _off_norm(a, n) < tol * n:
+        if _off_norm(a, n) < TOL * n:
             return sorted((a[i][i] for i in range(n)), reverse=True)
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -96,8 +95,8 @@ def spectrum(m, tol=1e-12):
     raise NoConvergence(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
 
 
-def spectral_energy(m, tol=1e-12):
-    return sum(abs(x) for x in spectrum(m, tol))
+def spectral_energy(m):
+    return sum(abs(x) for x in spectrum(m))
 
 
 def combinatorial_energy(p):

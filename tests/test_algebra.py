@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -149,19 +150,33 @@ def test_join_closure_ignores_reducible_generators():
         assert cg.join_closure(a.n, list(con.members)) == con
 
 
-def test_join_closure_keeps_each_members_pair_mask():
-    # is_distributive and atoms read the masks join_closure kept; the same
-    # members without them must give the same verdicts, and the atoms must
-    # be those of the partition order
+def test_join_closure_down_sets_and_order_follow_the_partition_order():
+    # J, found by pt.join and pt.leq as the members that are not the join of
+    # the members strictly below them, is numbered along a linear extension,
+    # so member t of J is the one whose down-set has t as its highest bit;
+    # bit t of down_sets[i] must then be set iff member t of J is <=
+    # members[i], below must be J's strict order, and the atoms must be
+    # those of the partition order
     for a in brute_filter_samples() + [alg.lattice_as_algebra(lt.chain(8))]:
         con = alg.all_congruences_alg(a)
-        bare = cg.CongruenceLattice(con.host_n, con.members)
-        assert con.pair_masks == tuple(cg._pair_mask(m.rep) for m in con.members)
+        down = dict(zip(con.members, con.down_sets))
+        jis = [
+            m for m in con.members
+            if m != functools.reduce(
+                pt.join, [p for p in con.members if p != m and pt.leq(p, m)], con.bottom
+            )
+        ]
+        named = {down[j].bit_length() - 1: j for j in jis}
+        assert sorted(named) == list(range(len(jis))) == list(range(len(con.below)))
+        for m, d in down.items():
+            for t, j in named.items():
+                assert bool(d >> t & 1) == pt.leq(j, m)
+        for t, mask in enumerate(con.below):
+            for s in named:
+                assert bool(mask >> s & 1) == (s != t and pt.leq(named[s], named[t]))
         non_bottom = [m for m in con.members if pt.heq(m) > 0]
         scanned = [m for m in non_bottom if not any(p != m and pt.leq(p, m) for p in non_bottom)]
-        assert con.atoms() == bare.atoms() == scanned
-        assert cg.is_distributive(con) == cg.is_distributive(bare)
-        assert cg.has_boolean_size(con) == cg.has_boolean_size(bare)
+        assert con.atoms() == scanned
 
 
 def test_budget():

@@ -100,10 +100,11 @@ def test_conlat_hasse_matches_scan(tmp_path, capsys):
         members = [pt.Partition(lat.n, tuple(m)) for m in doc["members"]]
         assert doc["hasse"] == scanned_hasse(members)
         # distributive, boolean and atoms come from J by theorem; compare
-        # them with the verdicts computed from the members: the down-set
-        # count, which test_congruence checks against the pentagon/diamond
-        # scan on these same lattices, and the atom scan
-        con = cg.CongruenceLattice(lat.n, tuple(members))
+        # them with the verdicts of the members' own join-closure, which
+        # finds J apart from the cover labels: the down-set count, which
+        # test_congruence checks against the pentagon/diamond scan on these
+        # same lattices, and the atoms
+        con = cg.join_closure(lat.n, members)
         assert doc["distributive"] is cg.is_distributive(con) is True
         assert doc["boolean"] is cg.is_boolean(con)
         assert doc["atoms"] == sorted(members.index(a) for a in con.atoms())
@@ -227,6 +228,15 @@ def test_table_text(capsys):
     assert lines[1].split() == ["0", "2", "10", "46"]
 
 
+def test_table_text_out_writes_the_file(capsys, tmp_path):
+    _, want, _ = run(capsys, ["table", "--max-n", "4", "--format", "text"])
+    path = tmp_path / "table.txt"
+    code, out, err = run(capsys, ["table", "--max-n", "4", "--format", "text", "--out", str(path)])
+    assert code == cli.EXIT_OK
+    assert out == err == ""
+    assert path.read_text() == want
+
+
 @pytest.mark.parametrize(
     "suite,n",
     [
@@ -254,7 +264,7 @@ def congruence_reps(max_n):
         m.rep
         for n in range(1, max_n + 1)
         for lat in em.all_lattices(n)
-        for m in cg.brute_force_congruences(lat).members
+        for m in cg.brute_force_congruences(lat)
     ]
 
 
@@ -269,9 +279,9 @@ def test_remark1_compares_every_member_and_solves_each_partition_once(monkeypatc
     real = en.spectral_energy
     calls = []
 
-    def spectral_energy(m, tol):
+    def spectral_energy(m):
         calls.append(m)
-        return real(m, tol) + (1.0 if m == bad_adjacency else 0.0)
+        return real(m) + (1.0 if m == bad_adjacency else 0.0)
 
     monkeypatch.setattr(en, "spectral_energy", spectral_energy)
     ok, details = cli.suite_remark1(6)

@@ -228,23 +228,28 @@ def test_cover_labels_are_principal_congruences():
                 assert bool(mask >> s & 1) == strictly
 
 
-def test_cover_labels_and_the_generator_filter_find_the_same_join_irreducibles():
+def named_order(c):
+    """J's strict order as {member of J: the members of J strictly below it}:
+    member t of J is the member whose down-set is t and below[t]."""
+    by_down = dict(zip(c.down_sets, c.members))
+    named = [by_down[mask | 1 << t] for t, mask in enumerate(c.below)]
+    return {
+        named[t]: {named[s] for s in range(len(named)) if mask >> s & 1}
+        for t, mask in enumerate(c.below)
+    }
+
+
+def test_the_lattice_and_the_algebra_route_find_the_same_join_irreducibles():
     # the lattice route, Day's D relation on bit rows, against the algebra
     # route: the principal congruences of L as an algebra, less those that
     # are the join of the ones strictly below them
     lats = [lat for n in range(1, 7) for lat in em.all_lattices(n)] + [lt.chain(8)]
     for lat in lats:
-        below, labels = cg.cover_labels(lat)
-        # member t of J is generated by the covers labelled t or below t
-        by_label = [
-            pt.join_pairs(lat.n, [c for c, s in labels.items() if s == t or below[t] >> s & 1])
-            for t in range(len(below))
-        ]
-        principals = alg.principal_congruences(alg.lattice_as_algebra(lat)).values()
-        kept = cg._join_irreducible_generators(
-            lat.n, {p.rep: cg._pair_mask(p.rep) for p in principals}
-        )
-        assert sorted(rep for rep, _ in kept) == sorted(p.rep for p in by_label)
+        con = cg.all_congruences(lat)
+        con_alg = alg.all_congruences_alg(alg.lattice_as_algebra(lat))
+        assert con.members == con_alg.members
+        assert [d.bit_count() for d in con.down_sets] == [d.bit_count() for d in con_alg.down_sets]
+        assert named_order(con) == named_order(con_alg)
 
 
 def test_all_congruences_reaches_each_member_once(monkeypatch):
@@ -262,7 +267,7 @@ def test_all_congruences_reaches_each_member_once(monkeypatch):
 
 def test_all_congruences_matches_brute_force():
     for lat in small_lattices():
-        assert cg.all_congruences(lat).members == cg.brute_force_congruences(lat).members
+        assert cg.all_congruences(lat).members == cg.brute_force_congruences(lat)
 
 
 def test_con_closed_under_join_meet():

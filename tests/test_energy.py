@@ -39,7 +39,7 @@ def test_adjacency_validation():
 
 def test_complete_graph_spectrum():
     for k in range(1, 13):
-        ev = en.spectrum(en.adjacency_of(pt.top(k)), 1e-12)
+        ev = en.spectrum(en.adjacency_of(pt.top(k)))
         want = [k - 1.0] + [-1.0] * (k - 1)
         assert len(ev) == k
         for got, expect in zip(ev, want):
@@ -52,7 +52,7 @@ def test_spectrum_against_numpy():
         n = rng.randint(1, 9)
         p = random_partition(rng, n)
         m = en.adjacency_of(p)
-        got = en.spectrum(m, 1e-12)
+        got = en.spectrum(m)
         want = sorted(np.linalg.eigvalsh(np.array(m.rows, dtype=float)), reverse=True)
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
 
@@ -62,7 +62,7 @@ def test_spectrum_sanity_identities():
     for _ in range(200):
         n = rng.randint(1, 10)
         m = en.adjacency_of(random_partition(rng, n))
-        ev = en.spectrum(m, 1e-12)
+        ev = en.spectrum(m)
         assert len(ev) == n
         assert abs(sum(ev)) < 1e-9
         assert abs(sum(x * x for x in ev) - 2 * m.edge_count) < 1e-9
@@ -98,11 +98,11 @@ def test_spectral_equals_combinatorial():
     for _ in range(500):
         n = rng.randint(1, 10)
         p = random_partition(rng, n)
-        assert abs(en.spectral_energy(en.adjacency_of(p), 1e-12) - en.combinatorial_energy(p)) < 1e-9
+        assert abs(en.spectral_energy(en.adjacency_of(p)) - en.combinatorial_energy(p)) < 1e-9
     for n in range(1, 7):
         for lat in em.all_lattices(n):
             for m in cg.all_congruences(lat).members:
-                diff = en.spectral_energy(en.adjacency_of(m), 1e-12) - en.combinatorial_energy(m)
+                diff = en.spectral_energy(en.adjacency_of(m)) - en.combinatorial_energy(m)
                 assert abs(diff) < 1e-9
 
 
