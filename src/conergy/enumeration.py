@@ -6,17 +6,16 @@ prefix of a linear extension of a lattice is an order ideal, hence a meet
 semilattice, so it suffices to extend a meet semilattice by a new element
 whose down-set keeps greatest lower bounds intact; adding the final top
 element turns the semilattice into a lattice.  Each prefix carries its
-packed down and up bit rows, its lower covers, and the automorphisms and
-twin classes its canonical labelling found, to its children, so the
-canonical labelling rebuilds none of them.  Two tests drop duplicate
-children before any canonical form is taken: all but the least of the
-sibling down-sets in one orbit of the parent's automorphisms, and a
-child whose new element is not a maximal element of greatest invariant (see
-``_keyed_lattices`` for why no class is lost).  The rest are deduplicated
-by poset canonical form at every level.  At the last level the top is
-appended before the canonical form is taken: adding a top is a bijection
-from (n-1)-element meet semilattices onto n-element lattices, so the key
-is already the lattice's canonical form.  ``extremal_report`` folds the
+packed down and up bit rows, its lower covers, and the twin classes its
+canonical labelling found, to its children, so the canonical labelling
+rebuilds none of them.  Two tests drop duplicate children before any
+canonical form is taken: a sibling down-set that a swap of the parent's
+twins lowers, and a child whose new element is not a maximal element of
+greatest invariant (see ``_keyed_lattices`` for why no class is lost).
+The rest are deduplicated by poset canonical form at every level.  At
+the last level the top is appended before the canonical form is taken:
+adding a top is a bijection from (n-1)-element meet semilattices onto
+n-element lattices, so the key is already the lattice's canonical form.  ``extremal_report`` folds the
 first child of each class into its record there, on the child's own rows:
 CE and |Con| from the down-sets of J (``congruence._row_energies``), and
 the antichain and shape tests.  No Lattice, and so no join or meet table,
@@ -54,8 +53,7 @@ def enumeration_budget():
 def _down_closed_subsets(dn, k):
     """All nonempty order ideals of the k-element prefix, ascending.  The
     prefix is numbered along a linear extension, so its down-sets grow as
-    in ``congruence._down_set_steps``; sorting keeps the least mask of
-    each automorphism orbit first."""
+    in ``congruence._down_set_steps``."""
     below = [dn[j] & ~(1 << j) for j in range(k)]
     return sorted(mask for _, _, mask in cg._down_set_steps(below))
 
@@ -78,7 +76,7 @@ def all_lattices(n):
     """All n-element lattices, one representative per isomorphism class,
     in canonical-form order, each in its canonical labelling."""
     classes = _keyed_lattices(n, lambda *rows: None)
-    return [lt.from_order_bits(n, _up_rows_from_code(key)) for key in sorted(classes)]
+    return [lt.from_order_bits(n, lt._up_rows_from_code(key)) for key in sorted(classes)]
 
 
 def _bits(mask):
@@ -89,19 +87,10 @@ def _bits(mask):
     return out
 
 
-def _up_rows_from_code(code):
-    """The up rows of the poset whose canonical code is ``code``, in the
-    canonical labelling: bit (i, j) of the n*n matrix is i <= j."""
-    n = code[0]
-    matrix = int.from_bytes(code[1:], "big")
-    rows = [matrix >> (n * (n - 1 - i)) & ((1 << n) - 1) for i in range(n)]
-    return [int(format(row, f"0{n}b")[::-1], 2) for row in rows]
-
-
 def covers_from_key(key):
     """The covering pairs (lo, hi), sorted, of the lattice whose canonical
     form is ``key``, in its canonical labelling."""
-    up = _up_rows_from_code(key)
+    up = lt._up_rows_from_code(key)
     return lt._covers_from_order(key[0], up, lt._transpose(up))
 
 
@@ -114,24 +103,21 @@ def _keyed_lattices(n, fold):
     The children are lattices with no further test: each is a meet
     semilattice, as ``_has_greatest`` checks, with a top appended, and a
     finite meet semilattice with a top is a lattice.  A prefix is a meet
-    semilattice P on 0..k-1 with its down rows, up rows, lower-cover lists,
-    and the automorphisms R and twin classes that its canonical labelling
-    returned; a child P + x adds x = k above the down-set ``mask``.  Before
-    any canonical form is taken:
+    semilattice P on 0..k-1 with its down rows, up rows, lower-cover lists
+    and the twin classes that its canonical labelling returned; a child
+    P + x adds x = k above the down-set ``mask``.  Before any canonical
+    form is taken:
 
-    - a mask is dropped when an automorphism of P maps it to a smaller
-      mask, since masks in one orbit of Aut(P) give isomorphic children;
+    - a mask is dropped unless it is twin-normal: its part in each twin
+      class is that class's least members;
     - a child is dropped unless x has the greatest (|down-set|, number of
       lower covers) among the maximal elements of the child.
 
-    The orbit test never builds Aut(P) = T.R, T the group of twin swaps.
-    A mask is twin-normal when its part in each twin class is that class's
-    least members.  The least mask of an orbit is twin-normal, since a twin
-    swap can only lower a mask that is not; the twin-normal form is
-    constant on T-orbits; and T is normal in Aut(P), so an orbit is the
-    union of T.r(m) over r in R.  Masks come in increasing order, so
-    keeping a twin-normal mask not yet seen, and marking the twin-normal
-    form of r(mask) for each r in R, keeps exactly each orbit's least mask.
+    Masks in one orbit of Aut(P) give isomorphic children, and the least
+    mask of an orbit is twin-normal: a mask that is not holds a member of
+    some twin class but not a smaller member of it, and swapping the two,
+    an automorphism, lowers the mask.  So every orbit keeps its least
+    mask, and Aut(P) is never built.
 
     No class is lost.  Take any class, and let y be a maximal element of
     greatest invariant in a member S of it.  S - y is a meet semilattice,
@@ -151,15 +137,14 @@ def _keyed_lattices(n, fold):
         rows = lt._rows(lt.chain(n))
         key = lt.canonical_order_matrix(*rows)[0]
         return {key: fold(key, *rows[1:])}
-    level = [([1], [1], [[]], ((0,),), ())]  # (dn, up, lower covers, R, twin classes)
+    level = [([1], [1], [[]], ())]  # (dn, up, lower covers, twin classes)
     for k in range(1, n - 1):
         last = k == n - 2
         new = 1 << k
         nxt = {}
-        for dn, up, lower, autos, twins in level:
+        for dn, up, lower, twins in level:
             maximal = [y for y in range(k) if up[y] == 1 << y]
             rivals = [((dn[y].bit_count(), len(lower[y])), y) for y in maximal]
-            images = [[1 << b for b in g] for g in autos[1:]]
             # per twin class: its mask, and the masks of its 0, 1, ... least members
             least = [
                 (sum(1 << b for b in c), [sum(1 << b for b in c[:i]) for i in range(len(c) + 1)])
@@ -170,13 +155,10 @@ def _keyed_lattices(n, fold):
             def normal(m):
                 return m & loose | sum([low[(m & cm).bit_count()] for cm, low in least])
 
-            seen = set()  # masks come in increasing order: each orbit's least is kept
             for mask in _down_closed_subsets(dn, k):
-                if mask in seen or normal(mask) != mask:
+                if normal(mask) != mask:
                     continue
-                elems = _bits(mask)
-                seen.update(normal(sum([img[b] for b in elems])) for img in images)
-                x_lower = [a for a in elems if up[a] & mask == 1 << a]
+                x_lower = [a for a in _bits(mask) if up[a] & mask == 1 << a]
                 x_inv = (mask.bit_count() + 1, len(x_lower))
                 if any(inv > x_inv for inv, y in rivals if not mask >> y & 1):
                     continue
@@ -191,13 +173,9 @@ def _keyed_lattices(n, fold):
                     dn2.append(2 * top - 1)
                     up2 = [u | top for u in up2] + [top]
                     lower2.append([y for y in maximal if not mask >> y & 1] + [k])
-                key, autos2, _, twins2 = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
+                key, twins2 = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
                 if key not in nxt:
-                    nxt[key] = (
-                        fold(key, up2, dn2, lower2)
-                        if last
-                        else (dn2, up2, lower2, autos2, twins2)
-                    )
+                    nxt[key] = fold(key, up2, dn2, lower2) if last else (dn2, up2, lower2, twins2)
         level = list(nxt.values())
     return nxt
 

@@ -8,8 +8,8 @@ the join and meet tables and the canonical form all come from the rows:
 the join of a and b is the element whose up-set is up_bits[a] & up_bits[b]
 (one dict lookup, dually for the meet), and the canonical form takes the
 rows and the lower covers themselves, not an order predicate.  It tries
-one order per arrangement of twin classes, and returns the automorphisms
-it meets on the way and the twin classes, whose swaps give the rest.
+one order per arrangement of twin classes, and returns the code and the
+twin classes.
 """
 
 import itertools
@@ -285,23 +285,20 @@ def _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov):
 
 def _twin_sorted_orders(twins):
     """The orders of the union of the twin classes (each ascending) that
-    list every class in increasing label order, in the order that
-    itertools.permutations gives them over the sorted union: at each
-    position the candidates are the least unused member of each class,
-    taken in ascending order."""
+    list every class in increasing label order: at each position the
+    candidates are the least unused member of each class."""
     if len(twins) == 1:
         yield tuple(twins[0])
         return
-    for x, i in sorted((c[0], i) for i, c in enumerate(twins)):
-        rest = twins[:i] + ([twins[i][1:]] if len(twins[i]) > 1 else []) + twins[i + 1:]
+    for i, c in enumerate(twins):
+        rest = twins[:i] + ([c[1:]] if len(c) > 1 else []) + twins[i + 1:]
         for tail in _twin_sorted_orders(rest):
-            yield (x,) + tail
+            yield (c[0],) + tail
 
 
 def canonical_order_matrix(n, up, dn, lower):
     """Minimal packed order matrix over all invariant-respecting
-    relabellings of a poset, with the automorphisms those relabellings
-    find and the poset's twin classes.
+    relabellings of a poset, and the poset's twin classes.
 
     The poset is given by its packed up rows (bit b of ``up[a]`` set iff
     a <= b), its down rows (bit a of ``dn[b]`` set iff a <= b) and the
@@ -312,27 +309,19 @@ def canonical_order_matrix(n, up, dn, lower):
     sigma[i] <= sigma[j].  Row i of a candidate is built by summing, over
     the elements above sigma[i], the weight 2^(n-1-j) of their new label j.
     Rows have n bits each, so comparing the row lists lexicographically
-    compares the codes.
+    compares the codes, and the code is their minimum, whatever the order
+    in which the candidates come.
 
     Twins are elements with the same strict down-set and strict up-set,
     like the atoms of M_k; swapping two twins is an automorphism, so twins
-    share an invariant class.  Within each class only the orders that list
-    every twin class in increasing label order are tried, in the order of
-    the full search.  An optimal order with two twins out of order becomes,
-    after one swap, an optimal order that comes earlier, so the first
-    optimal order, and with it the code and the labelling, is the full
-    search's.
+    share an invariant class, and a relabelling and its image under a twin
+    swap have the same code.  Within each class only the orders that list
+    every twin class in increasing label order are tried: twin swaps turn
+    any order into one of these and keep its code, so the minimum is the
+    full search's.
 
-    Every automorphism g keeps the invariants, so g o sigma is a candidate
-    with the same code as sigma, and two candidates with the same code
-    differ by an automorphism.  With sigma0 the first optimal candidate
-    tried, each optimal tau tried gives the automorphism sigma0[i] ->
-    tau[i]; these form a set R, and Aut(P) = {t o r : t in T, r in R} for
-    T the group the twin swaps generate.  Returns (code, R, label, twins):
-    each automorphism a tuple g with g[x] the image of x, identity first,
-    label[x] the new label of x under sigma0, so that a <= b iff bit
-    (label[a], label[b]) of the code is set, and twins the twin classes of
-    two or more elements, each ascending.
+    Returns (code, twins), twins the twin classes of two or more elements,
+    each ascending.
     """
     above = [[b for b in range(n) if row >> b & 1] for row in up]
     upper = [[] for _ in range(n)]
@@ -358,28 +347,30 @@ def canonical_order_matrix(n, up, dn, lower):
                 orders.append(_twin_sorted_orders(cs))
                 continue
         orders.append(itertools.permutations(g))
-    ties = []
     weight = [0] * n
     powers = [1 << (n - 1 - j) for j in range(n)]
     get = weight.__getitem__
-    for parts in itertools.product(*orders):
+
+    def rows(parts):
         sigma = [x for part in parts for x in part]
         for x, w in zip(sigma, powers):
             weight[x] = w
-        rows = [sum(map(get, above[si])) for si in sigma]
-        if not ties or rows < best:
-            best, ties = rows, [sigma]
-        elif rows == best:
-            ties.append(sigma)
+        return [sum(map(get, above[si])) for si in sigma]
+
     code = 0
-    for row in best:
+    for row in min(map(rows, itertools.product(*orders))):
         code = code << n | row
-    nbytes = (n * n + 7) // 8
-    label = [0] * n  # label[x]: x's new label under the first optimal candidate
-    for i, x in enumerate(ties[0]):
-        label[x] = i
-    automorphisms = tuple(tuple([tau[i] for i in label]) for tau in ties)
-    return bytes([n]) + code.to_bytes(nbytes, "big"), automorphisms, label, tuple(twins)
+    return bytes([n]) + code.to_bytes((n * n + 7) // 8, "big"), tuple(twins)
+
+
+def _up_rows_from_code(code):
+    """The up rows of the poset whose canonical code is ``code``, in the
+    canonical labelling: bit (i, j) of the n*n matrix, most significant
+    first, is i <= j."""
+    n = code[0]
+    matrix = int.from_bytes(code[1:], "big")
+    rows = [matrix >> (n * (n - 1 - i)) & ((1 << n) - 1) for i in range(n)]
+    return [int(format(row, f"0{n}b")[::-1], 2) for row in rows]
 
 
 def canonical_form(lat):

@@ -47,8 +47,7 @@ def predicate_refined_invariants(n, leq_fn, up_cov, dn_cov):
 
 def predicate_canonical_order_matrix(n, leq_fn):
     """Oracle: the canonical form computed from the order predicate alone,
-    one predicate call per matrix bit of every relabelling tried, and the
-    first relabelling, in the order tried, that gives it."""
+    one predicate call per matrix bit of every relabelling tried."""
     up_cov = [[] for _ in range(n)]
     dn_cov = [[] for _ in range(n)]
     for a in range(n):
@@ -70,19 +69,8 @@ def predicate_canonical_order_matrix(n, leq_fn):
             for j in range(n):
                 code = code << 1 | (1 if leq_fn(sigma[i], sigma[j]) else 0)
         if best is None or code < best:
-            best, first = code, sigma
-    return bytes([n]) + best.to_bytes((n * n + 7) // 8, "big"), first
-
-
-def relabelled_code(up, label):
-    """The code of the order with up rows ``up`` relabelled by ``label``:
-    bit (label[a], label[b]) of the n*n matrix, most significant first, is
-    a <= b."""
-    n = len(up)
-    code = sum(
-        1 << n * n - 1 - (label[a] * n + label[b]) for a in range(n) for b in range(n) if up[a] >> b & 1
-    )
-    return bytes([n]) + code.to_bytes((n * n + 7) // 8, "big")
+            best = code
+    return bytes([n]) + best.to_bytes((n * n + 7) // 8, "big")
 
 
 def preserves_order(g, up):
@@ -101,13 +89,10 @@ def test_canonical_form_matches_predicate_oracle(monkeypatch):
         def leq_fn(a, b):
             return bool(up[a] >> b & 1)
 
-        got, autos, label, twins = fast(n, up, dn, lower)
-        code, first = predicate_canonical_order_matrix(n, leq_fn)
-        assert got == code == relabelled_code(up, label)
-        assert [label[x] for x in first] == list(range(n))  # the first optimal relabelling
-        assert all(preserves_order(g, up) for g in autos)
+        got, twins = fast(n, up, dn, lower)
+        assert got == predicate_canonical_order_matrix(n, leq_fn)
         sizes.append(n)
-        return got, autos, label, twins
+        return got, twins
 
     monkeypatch.setattr(lt, "canonical_order_matrix", checked)
     for n in range(1, 9):
@@ -159,7 +144,7 @@ def test_labelled_children_pass_both_pruning_tests(monkeypatch):
     # each child the generator labels is P + x with x the highest label
     # below the top, if any: x has the greatest (|down-set|, lower covers)
     # among the maximal elements of the child, and its down-set in P is
-    # the least mask of its orbit under Aut(P)
+    # the least mask of its orbit under the twin swaps of P
     fast = lt.canonical_order_matrix
     for n in range(3, 8):
         children = {}
@@ -171,73 +156,94 @@ def test_labelled_children_pass_both_pruning_tests(monkeypatch):
             assert k in maximal and invariant[maximal.index(k)] == max(invariant)
             parent = tuple(u & ((1 << k) - 1) for u in up[:k])
             children.setdefault(parent, []).append(dn[k] & ~(1 << k))
-            got, autos, label, twins = fast(size, up, dn, lower)
-            assert got == relabelled_code(up, label)
-            return got, autos, label, twins
+            return fast(size, up, dn, lower)
 
         monkeypatch.setattr(lt, "canonical_order_matrix", checked)
         assert len(em.all_lattices(n)) == KNOWN_COUNTS[n]
         for parent, masks in children.items():
-            group = brute_automorphisms(parent)
+            group = list(twin_group(sorted(brute_twin_classes(parent)), len(parent)))
             assert len(set(masks)) == len(masks)
             for mask in masks:
                 assert mask == min(sum(1 << g[b] for b in range(len(parent)) if mask >> b & 1) for g in group)
 
 
-def brute_automorphisms(up):
+def brute_twin_classes(up):
+    """Oracle: the classes of two or more elements with the same strict
+    down-set and strict up-set, each ascending, from the order predicate."""
     n = len(up)
-    return {g for g in itertools.permutations(range(n)) if preserves_order(g, up)}
+
+    def strict(a):
+        below = frozenset(z for z in range(n) if z != a and up[z] >> a & 1)
+        above = frozenset(z for z in range(n) if z != a and up[a] >> z & 1)
+        return below, above
+
+    classes = {tuple(b for b in range(n) if strict(b) == strict(a)) for a in range(n)}
+    return {c for c in classes if len(c) > 1}
 
 
-def twin_times(autos, twins, n):
-    """T.R: each automorphism t o r, for t in the group T that the swaps
-    within each twin class generate and r in autos, identity first."""
-    group = []
+def twin_group(twins, n):
+    """The permutations of 0..n-1 that the swaps within each twin class
+    generate."""
     for perms in itertools.product(*(itertools.permutations(c) for c in twins)):
         t = list(range(n))
         for c, p in zip(twins, perms):
             for x, y in zip(c, p):
                 t[x] = y
-        group.append(t)
-    return [tuple(t[r[x]] for x in range(n)) for r in autos for t in group]
+        yield t
 
 
-def test_automorphisms_are_the_order_automorphisms(monkeypatch):
-    # every prefix and lattice the generator labels, and every lattice
+def test_twins_are_the_brute_force_twin_classes(monkeypatch):
+    # every prefix and lattice the generator labels up to order 7, and
+    # every lattice up to order 6
     fast = lt.canonical_order_matrix
     seen = []
 
     def checked(n, up, dn, lower):
-        got, autos, label, twins = fast(n, up, dn, lower)
-        assert got == relabelled_code(up, label)
-        group = twin_times(autos, twins, n)
-        assert group[0] == tuple(range(n))
-        assert len(set(group)) == len(group)
-        assert set(group) == brute_automorphisms(up)
+        got, twins = fast(n, up, dn, lower)
+        assert len(set(twins)) == len(twins)
+        assert set(twins) == brute_twin_classes(up)
+        for c in twins:
+            for x, y in itertools.combinations(c, 2):
+                swap = list(range(n))
+                swap[x], swap[y] = y, x
+                assert preserves_order(swap, up)
+        assert got == predicate_canonical_order_matrix(n, lambda a, b: bool(up[a] >> b & 1))
         seen.append(n)
-        return got, autos, label, twins
+        return got, twins
 
     monkeypatch.setattr(lt, "canonical_order_matrix", checked)
-    for n in range(1, 7):
-        for lat in em.all_lattices(n):
-            lt.canonical_form(lat)
-    assert set(seen) == set(range(1, 7))
+    for n in range(1, 8):
+        lattices = em.all_lattices(n)
+        if n <= 6:
+            for lat in lattices:
+                lt.canonical_form(lat)
+    assert set(seen) == set(range(1, 8))
 
 
-def test_twin_classes_keep_the_first_optimal_labelling():
+def test_two_twin_classes_in_one_invariant_class_give_the_least_code():
     # atoms 1..4, 5 above 1 and 4, 6 above 2 and 3: two twin classes in
     # one invariant class, and an automorphism that swaps them
     lat = lt.from_covers(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (4, 5), (2, 6), (3, 6), (5, 7), (6, 7)])
-    n, up, dn, lower = lt._rows(lat)
-    got, autos, label, twins = lt.canonical_order_matrix(n, up, dn, lower)
-    code, first = predicate_canonical_order_matrix(n, lat.leq)
-    assert got == code
-    assert [label[x] for x in first] == list(range(n))
+    got, twins = lt.canonical_order_matrix(*lt._rows(lat))
+    assert got == predicate_canonical_order_matrix(lat.n, lat.leq)
     assert twins == ((1, 4), (2, 3))
-    assert len(autos) == 2
-    group = twin_times(autos, twins, n)
-    assert len(group) == len(set(group)) == 8
-    assert set(group) == brute_automorphisms(up)
+
+
+def test_generator_labelling_counts(monkeypatch):
+    # the canonical labellings the two pruning tests leave: a test that
+    # stops pruning moves these counts
+    fast = lt.canonical_order_matrix
+    sizes = []
+
+    def counted(n, up, dn, lower):
+        sizes.append(n)
+        return fast(n, up, dn, lower)
+
+    monkeypatch.setattr(lt, "canonical_order_matrix", counted)
+    for n, want in {6: 23, 7: 80, 8: 318}.items():
+        sizes.clear()
+        em._keyed_lattices(n, lambda *rows: None)
+        assert len(sizes) == want
 
 
 def test_diamonds_try_one_order_per_twin_class():
@@ -245,9 +251,9 @@ def test_diamonds_try_one_order_per_twin_class():
     for k in range(3, lt.ISO_BUDGET - 1):
         n = k + 2
         lat = lt.from_covers(n, [(0, a) for a in range(1, k + 1)] + [(a, n - 1) for a in range(1, k + 1)])
-        _, autos, _, twins = lt.canonical_order_matrix(*lt._rows(lat))
-        assert autos == (tuple(range(n)),)
+        _, twins = lt.canonical_order_matrix(*lt._rows(lat))
         assert twins == (tuple(range(1, k + 1)),)
+        assert list(lt._twin_sorted_orders([list(twins[0])])) == [twins[0]]
         perm = list(range(n))
         rng.shuffle(perm)
         shuffled = lt.from_covers(n, [(perm[a], perm[b]) for a, b in lat.covers])
@@ -460,7 +466,7 @@ def test_records_are_labelled_by_their_key():
             key = bytes.fromhex(r["canon"])
             covers = em.covers_from_key(key)
             assert covers == covers_from_code(key)
-            assert covers == lt.from_order_bits(n, em._up_rows_from_code(key)).covers
+            assert covers == lt.from_order_bits(n, lt._up_rows_from_code(key)).covers
             assert all(a < b for a, b in covers)  # bottom 0, top n - 1
             lat = lt.from_covers(n, list(covers))
             assert lt.canonical_form(lat).hex() == r["canon"]
@@ -469,7 +475,7 @@ def test_records_are_labelled_by_their_key():
 def lattice_route_record(key):
     """Oracle: the record of the class with canonical form ``key``, made
     from a validated Lattice rebuilt from the key."""
-    lat = lt.from_order_bits(key[0], em._up_rows_from_code(key))
+    lat = lt.from_order_bits(key[0], lt._up_rows_from_code(key))
     energies = cg.congruence_energies(lat)
     return {
         "canon": key.hex(),
