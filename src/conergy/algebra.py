@@ -15,7 +15,6 @@ by ``congruence.is_distributive``'s down-set count over that order, since
 for an algebra it is a hypothesis, not a theorem.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import congruence as cg
@@ -69,22 +68,17 @@ def apply_op(alg, op, args):
 
 
 def unary_translations(alg):
-    """All maps x -> f(c1, .., x, .., ck), as sorted tuples of length n."""
+    """All maps x -> f(c1, .., x, .., ck), as sorted tuples of length n.
+    With x at position pos, the map is a slice of the row-major table with
+    stride n^(k-1-pos), from each index whose digit at pos is 0."""
     n = alg.n
     maps = set()
     for op in alg.ops:
-        if op.arity == 0:
-            continue
-        slots = [range(n)] * op.arity
         for pos in range(op.arity):
-            others = [list(s) for s in slots[:pos] + slots[pos + 1:]]
-            for consts in itertools.product(*others):
-                args = list(consts[:pos]) + [0] + list(consts[pos:])
-                tr = []
-                for x in range(n):
-                    args[pos] = x
-                    tr.append(apply_op(alg, op, args))
-                maps.add(tuple(tr))
+            stride = n ** (op.arity - 1 - pos)
+            for start in range(n ** op.arity):
+                if start // stride % n == 0:
+                    maps.add(tuple(op.table[start : start + n * stride : stride]))
     return sorted(maps)
 
 

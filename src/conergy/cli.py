@@ -209,6 +209,7 @@ def suite_remark1(max_n):
     The spectral energy depends only on the partition, so the solver runs
     once per distinct rep within one call; every member is still compared
     and reported on its own."""
+    _within(max_n, enum_mod.ENUMERATION_BUDGET, "--n")
     details = []
     ok = True
     spectral = {}
@@ -227,6 +228,7 @@ def suite_remark1(max_n):
 
 
 def _report_suite(key, max_n, first_n=1):
+    _within(max_n, enum_mod.ENUMERATION_BUDGET, "--n")
     details = []
     ok = True
     for n in range(first_n, max_n + 1):

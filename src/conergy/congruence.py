@@ -4,7 +4,7 @@ The congruence checker verifies that blocks are intervals and that the two
 quadrilateral closure conditions (one and its dual) hold.  Con(L) is
 distributive (Funayama-Nakayama), the down-sets O(J) of its
 join-irreducibles J, the congruences of covering pairs (after Freese,
-"Computing congruences efficiently", 2008).  ``cover_labels`` finds J, its
+"Computing congruences efficiently", 2008).  ``_label_rows`` finds J, its
 order and the label con(y, x) in J of each cover y < x on bit rows, by
 Day's D relation on the join-irreducible elements of L, with no partition
 and no join table: each join is one lookup among the up-sets, so the same
@@ -277,10 +277,10 @@ def all_congruences(lat):
     label t, joined with the covers labelled t.  Raises BudgetExceeded as
     soon as Con has more than CON_BUDGET members.
     """
-    below, labels = cover_labels(lat)
+    below, labels = _label_rows(*lt._rows(lat))
     links = [[] for _ in below]
-    for cover, t in labels.items():
-        links[t].append(cover)
+    for y, x, t in labels:
+        links[t].append((y, x))
     gens = [pt.join_pairs(lat.n, covers) for covers in links]
     members = [pt.bottom(lat.n)]
     masks = [0]
@@ -291,19 +291,12 @@ def all_congruences(lat):
     return CongruenceLattice(lat.n, *_sorted_with(members, masks), below)
 
 
-def cover_labels(lat):
-    """(below, labels): the join-irreducibles of Con(L) numbered along a
-    linear extension, below[t] the bitmask of those strictly below member
-    t, and labels[(y, x)] = t for each cover y < x of L with con(y, x)
-    member t.  Works on bit rows, with no partition (see ``_label_rows``)."""
-    below, labels = _label_rows(*lt._rows(lat))
-    return below, {(y, x): t for y, x, t in labels}
-
-
 def _label_rows(n, up, dn, lower):
     """(below, labels) of the lattice with up rows ``up``, down rows ``dn``
-    and lower-cover lists ``lower``: below as in ``cover_labels``, and one
-    (y, x, t) in labels for each cover y < x, t the label of con(y, x).
+    and lower-cover lists ``lower``: the join-irreducibles of Con(L)
+    numbered along a linear extension, below[t] the bitmask of those
+    strictly below member t, and one (y, x, t) in labels for each cover
+    y < x, t the label of con(y, x).  No partition is built.
 
     For join-irreducible elements p, q of L, with lower covers p_*, q_*,
     write p D q when p <= q v x and p not <= q_* v x for some x.  Collapsing

@@ -35,17 +35,15 @@ def g_sb(n):
 
 
 def g_pn(k):
-    """Energy of the glued chain-pentagon-chain lattices: the recursion
-    g_pn(k) = 2*g_pn(k-1) + 5*2^(k-5) started from g_pn(4) = 17/2.
+    """Energy of the glued chain-pentagon-chain lattices: (5k - 3) * 2^(k-5),
+    the solution of the recursion g_pn(k) = 2*g_pn(k-1) + 5*2^(k-5) started
+    from g_pn(4) = 17/2.
 
     Returns an exact Fraction; integral for k >= 5.
     """
     if k < 4:
         raise DomainError(f"g_pn needs k >= 4, got {k}")
-    val = Fraction(17, 2)
-    for i in range(5, k + 1):
-        val = 2 * val + 5 * Fraction(2) ** (i - 5)
-    return val
+    return (5 * k - 3) * Fraction(2) ** (k - 5)
 
 
 def _stirling_row(n):
@@ -64,16 +62,10 @@ def stirling2(n, k):
 
 
 def bell(n):
-    """n-th Bell number, via the Bell triangle."""
+    """n-th Bell number: the sum of the n-th Stirling row."""
     if n < 1:
         raise DomainError(f"bell needs n >= 1, got {n}")
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[-1]
+    return sum(_stirling_row(n))
 
 
 def bell2(n):

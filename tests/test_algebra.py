@@ -127,6 +127,20 @@ def unary_big_algebra():
     return alg.FiniteAlgebra(8, (alg.Operation("f", 1, (0, 0, 1, 3, 4, 5, 6, 7)),))
 
 
+def test_unary_translations_match_apply_op():
+    # every map x -> f(.., x, ..) with the other arguments fixed, read
+    # through apply_op instead of slicing the table
+    rng = random.Random(4242)
+    for a in [random_algebra(rng) for _ in range(50)] + brute_filter_samples():
+        want = {
+            tuple(alg.apply_op(a, op, args[:pos] + (x,) + args[pos:]) for x in range(a.n))
+            for op in a.ops
+            for pos in range(op.arity)
+            for args in itertools.product(range(a.n), repeat=op.arity - 1)
+        }
+        assert alg.unary_translations(a) == sorted(want)
+
+
 def test_principal_congruences_match_one_closure_per_pair():
     rng = random.Random(31337)
     samples = [random_algebra(rng) for _ in range(300)]

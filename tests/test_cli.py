@@ -141,10 +141,23 @@ def test_enumerate_emit_round_trip(capsys):
 
 
 def test_enumerate_budget_exit(capsys):
-    for n in ("10", "12"):
+    for n in ("12", "100"):
         code, out, err = run(capsys, ["enumerate", "--n", n])
         assert code == cli.EXIT_BUDGET
         assert err.startswith("budget-exceeded:")
+
+
+@pytest.mark.parametrize("suite", ["remark1", "thm-b", "thm-c", "manycon"])
+def test_enumerating_suites_check_the_budget_before_any_order(capsys, monkeypatch, suite):
+    def compute(n):
+        raise AssertionError(f"order {n} computed past the budget")
+
+    monkeypatch.setattr(em, "extremal_report", compute)
+    monkeypatch.setattr(em, "all_lattices", compute)
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--n", "12"])
+    assert code == cli.EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("budget-exceeded:")
 
 
 def test_con_budget_exit(capsys):
@@ -340,17 +353,15 @@ def test_output_is_deterministic(capsys):
         (8, "0f8c4e595ec3bbe8bf7275e7fe4063f98d7623fdcf5f67c49722136757cdebd0"),
     ],
 )
-def test_enumerate_emit_output_is_pinned(capsys, monkeypatch, n, digest):
+def test_enumerate_emit_output_is_pinned(capsys, n, digest):
     # any change to a canonical code, a cover relabelling or the record order shows here
-    monkeypatch.setenv(em.BUDGET_ENV, str(n))
     code, out, _ = run(capsys, ["enumerate", "--n", str(n), "--emit"])
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_enumerate_output_without_emit_is_pinned(capsys, monkeypatch):
+def test_enumerate_output_without_emit_is_pinned(capsys):
     # the records without covers, which are decoded from the key only under --emit
-    monkeypatch.setenv(em.BUDGET_ENV, "8")
     code, out, _ = run(capsys, ["enumerate", "--n", "8"])
     assert code == cli.EXIT_OK
     digest = "4bae635703403c688cd8a962db716acf37124ea3ddaad02c2f1ad66c7acd3a67"

@@ -215,7 +215,8 @@ def test_cover_labels_are_principal_congruences():
     # label t stands for one cover congruence con(y, x), a different one
     # for each t, and below[t] is its order among them
     for lat in count_route_lattices():
-        below, labels = cg.cover_labels(lat)
+        below, rows = cg._label_rows(*lt._rows(lat))
+        labels = {(y, x): t for y, x, t in rows}
         named = {}
         for (y, x), t in labels.items():
             con = cg.principal_congruence(lat, y, x)

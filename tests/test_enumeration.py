@@ -1,6 +1,5 @@
 import itertools
 import json
-import os
 import random
 
 import pytest
@@ -15,8 +14,7 @@ from conergy.errors import BudgetExceeded
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
 
 
-def test_counts_match_known_sequence(monkeypatch):
-    monkeypatch.setenv(em.BUDGET_ENV, str(max(KNOWN_COUNTS)))
+def test_counts_match_known_sequence():
     for n, want in KNOWN_COUNTS.items():
         assert len(em.all_lattices(n)) == want
 
@@ -333,24 +331,9 @@ def test_outputs_pairwise_nonisomorphic_and_sorted():
         assert len(set(forms)) == len(forms)
 
 
-def test_budget_and_env_override():
+def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
-        em.all_lattices(em.enumeration_budget() + 1)
-    old = os.environ.get(em.BUDGET_ENV)
-    try:
-        os.environ[em.BUDGET_ENV] = "5"
-        assert em.enumeration_budget() == 5
-        with pytest.raises(BudgetExceeded):
-            em.all_lattices(6)
-        os.environ[em.BUDGET_ENV] = "99"
-        assert em.enumeration_budget() == em.BUDGET_CAP
-        os.environ[em.BUDGET_ENV] = "junk"
-        assert em.enumeration_budget() == em.DEFAULT_BUDGET
-    finally:
-        if old is None:
-            del os.environ[em.BUDGET_ENV]
-        else:
-            os.environ[em.BUDGET_ENV] = old
+        em.all_lattices(em.ENUMERATION_BUDGET + 1)
 
 
 def test_glued_b4_family_counts():

@@ -53,8 +53,13 @@ def test_b4_from_covers():
 def test_from_covers_errors():
     with pytest.raises(RedundantCover):
         lt.from_covers(4, [(0, 1), (1, 2), (0, 3), (3, 2), (0, 2)])
-    with pytest.raises(NotAPoset):
-        lt.from_covers(3, [(0, 1), (1, 2), (2, 0)])
+    for n, cycle in (
+        (3, [(0, 1), (1, 2), (2, 0)]),
+        (4, [(0, 1), (1, 2), (2, 1), (2, 3)]),  # a 2-cycle between middle elements
+        (4, [(0, 1), (1, 2), (2, 3), (3, 1)]),  # a cycle above a tail, missing 0
+    ):
+        with pytest.raises(NotAPoset):
+            lt.from_covers(n, cycle)
     with pytest.raises(NotALattice):
         # two maximal elements: no join
         lt.from_covers(3, [(0, 1), (0, 2)])
