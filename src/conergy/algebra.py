@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from . import congruence as cg
 from . import counting as ct
 from . import energy as en
+from . import lattice as lt
 from . import partition as pt
 from .errors import BudgetExceeded, OutOfRange, SizeMismatch
 
@@ -91,11 +92,11 @@ def principal_congruences(alg):
     """{(a, b): Cg(a, b)} for every a < b, from one closure on pairs.
 
     The n(n-1)/2 unordered pairs are the bits of a mask, each pair's row
-    holding its images {t(a), t(b)} under the unary translations t.  A
-    Warshall pass over the rows leaves in row (a, b) every pair reachable
-    from it, a set of pairs closed under the translations; the equivalence
-    it generates is then closed under them too, so it is Cg(a, b).  One
-    union-find runs per distinct row."""
+    holding its images {t(a), t(b)} under the unary translations t.  The
+    Warshall pass ``lattice._transitive_closure`` over the rows leaves in
+    row (a, b) every pair reachable from it, a set of pairs closed under
+    the translations; the equivalence it generates is then closed under
+    them too, so it is Cg(a, b).  One union-find runs per distinct row."""
     n = alg.n
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     index = {}
@@ -109,17 +110,11 @@ def principal_congruences(alg):
             if t[a] != t[b]:
                 row |= 1 << index[t[a], t[b]]
         reach.append(row)
-    for k in range(len(reach)):
-        bit, row_k = 1 << k, reach[k]
-        for i, row in enumerate(reach):
-            if row & bit:
-                reach[i] = row | row_k
+    lt._transitive_closure(reach)
     congruences = {}
     for row in reach:
         if row not in congruences:
-            congruences[row] = pt.join_pairs(
-                n, (pair for k, pair in enumerate(pairs) if row >> k & 1)
-            )
+            congruences[row] = pt.join_pairs(n, [pairs[k] for k in lt._bits(row)])
     return {pair: congruences[row] for pair, row in zip(pairs, reach)}
 
 

@@ -240,6 +240,9 @@ def _report_suite(key, max_n, first_n=1):
 
 
 def suite_pentagon(max_k):
+    # Con of the order-k family has 5 * 2^(k-5) members: the bound is the
+    # largest k with 5 * 2^(k-5) <= CON_BUDGET, found without the power
+    _within(max_k, 4 + (cg.CON_BUDGET // 5).bit_length(), "pentagon --n")
     details = []
     ok = True
     for k in range(5, max_k + 1):

@@ -109,7 +109,7 @@ def is_congruence(lat, p):
             lo = lat.meet(lo, x)
             hi = lat.join(hi, x)
         between = lat.up_bits[lo] & lat.dn_bits[hi]
-        if bin(between).count("1") != len(block):
+        if between.bit_count() != len(block):
             return False
         # lo/hi in the block is implied when the popcounts match
     for x, y in lat.covers:
@@ -324,10 +324,7 @@ def _label_rows(n, up, dn, lower):
         for u in up:
             m |= dn[join_of[up_q & u]] & ~dn[join_of[up_star & u]]
         reach[q] = m & jmask
-    for k in jis:
-        for p in jis:
-            if reach[p] >> k & 1:
-                reach[p] |= reach[k]
+    lt._transitive_closure(reach)  # rows outside J are 0
     classes, below = _inclusion_order(reach[j] for j in jis)
     index = {c: t for t, c in enumerate(classes)}
     ranked = [(j, index[reach[j]]) for _, j in sorted((dn[j].bit_count(), j) for j in jis)]
@@ -385,25 +382,11 @@ def quotient(lat, theta):
     """
     if not is_congruence(lat, theta):
         raise NotACongruence("partition is not a congruence of the lattice")
-    blocks = theta.blocks()
-    bots = []
-    for block in blocks:
-        lo = block[0]
-        for x in block[1:]:
-            lo = lat.meet(lo, x)
-        bots.append(lo)
-    t = len(blocks)
-    up = [0] * t
-    for i in range(t):
-        for j in range(t):
-            if lat.leq(bots[i], bots[j]):
-                up[i] |= 1 << j
-    q = lt.from_order_bits(t, up)
-    block_of = [0] * lat.n
-    for i, block in enumerate(blocks):
-        for x in block:
-            block_of[x] = i
-    return q, tuple(block_of)
+    # a block is an interval, so its bottom has the smallest down-set
+    bots = [min(block, key=lambda x: lat.dn_bits[x].bit_count()) for block in theta.blocks()]
+    up = [sum(1 << j for j, b in enumerate(bots) if lat.leq(a, b)) for a in bots]
+    index = {r: i for i, r in enumerate(sorted(set(theta.rep)))}
+    return lt.from_order_bits(len(bots), up), tuple(index[r] for r in theta.rep)
 
 
 def upset_split(c, alpha):

@@ -47,13 +47,9 @@ def _down_closed_subsets(dn, k):
 
 
 def _has_greatest(dn, subset):
-    m = subset
-    while m:
-        g = (m & -m).bit_length() - 1
-        if subset & ~dn[g] == 0:
-            return True
-        m &= m - 1
-    return False
+    """Whether the nonempty subset has a greatest element.  The prefix is
+    numbered along a linear extension, so only its highest index can be."""
+    return subset & ~dn[subset.bit_length() - 1] == 0
 
 
 def _lattice_from_dn(dn):
@@ -65,14 +61,6 @@ def all_lattices(n):
     in canonical-form order, each in its canonical labelling."""
     classes = _keyed_lattices(n, lambda *rows: None)
     return [lt.from_order_bits(n, lt._up_rows_from_code(key)) for key in sorted(classes)]
-
-
-def _bits(mask):
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def covers_from_key(key):
@@ -97,7 +85,8 @@ def _keyed_lattices(n, fold):
     form is taken:
 
     - a mask is dropped unless it is twin-normal: its part in each twin
-      class is that class's least members;
+      class is a prefix of that ascending class, that is, it holds no
+      member of a class without the member just before it;
     - a child is dropped unless x has the greatest (|down-set|, number of
       lower covers) among the maximal elements of the child.
 
@@ -132,25 +121,17 @@ def _keyed_lattices(n, fold):
         for dn, up, lower, twins in level:
             maximal = [y for y in range(k) if up[y] == 1 << y]
             rivals = [((dn[y].bit_count(), len(lower[y])), y) for y in maximal]
-            # per twin class: its mask, and the masks of its 0, 1, ... least members
-            least = [
-                (sum(1 << b for b in c), [sum(1 << b for b in c[:i]) for i in range(len(c) + 1)])
-                for c in twins
-            ]
-            loose = ~sum(cm for cm, _ in least)
-
-            def normal(m):
-                return m & loose | sum([low[(m & cm).bit_count()] for cm, low in least])
-
+            # consecutive twins lo < hi: a twin-normal mask holding hi holds lo
+            steps = [(1 << a, 1 << b) for c in twins for a, b in zip(c, c[1:])]
             for mask in _down_closed_subsets(dn, k):
-                if normal(mask) != mask:
+                if any(mask & hi and not mask & lo for lo, hi in steps):
                     continue
-                x_lower = [a for a in _bits(mask) if up[a] & mask == 1 << a]
+                x_lower = [a for a in lt._bits(mask) if up[a] & mask == 1 << a]
                 x_inv = (mask.bit_count() + 1, len(x_lower))
                 if any(inv > x_inv for inv, y in rivals if not mask >> y & 1):
                     continue
                 # j in the mask is the greatest element of mask & dn[j] = dn[j]
-                if not all(_has_greatest(dn, mask & dn[j]) for j in _bits(~mask & new - 1)):
+                if not all(_has_greatest(dn, mask & dn[j]) for j in lt._bits(~mask & new - 1)):
                     continue
                 dn2 = dn + [mask | new]
                 up2 = [u | new if mask >> a & 1 else u for a, u in enumerate(up)] + [new]
@@ -191,15 +172,7 @@ def all_lattices_brute(n):
                 found[key] = lat
             return
         for mask in [(1 << k) - 1] if k == n - 1 else range(1, 1 << k):
-            closed = True
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                if dn[j] & ~mask:
-                    closed = False
-                    break
-                m &= m - 1
-            if closed:
+            if all(dn[j] & ~mask == 0 for j in lt._bits(mask)):
                 rec(dn + [mask | (1 << k)], k + 1)
 
     rec([1], 1)
@@ -249,7 +222,7 @@ def _core_shape(n, up, dn, lower):
     if len(cores) != 1:
         return None
     core = cores[0]
-    covers = sum(1 for b in _bits(core) for a in lower[b] if core >> a & 1)
+    covers = sum(1 for b in lt._bits(core) for a in lower[b] if core >> a & 1)
     return core.bit_count(), covers
 
 

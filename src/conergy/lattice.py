@@ -88,11 +88,7 @@ def _closure_from_covers(n, covers):
     up = [1 << v for v in range(n)]
     for a, b in covers:
         up[a] |= 1 << b
-    for k in range(n):
-        bit, row_k = 1 << k, up[k]
-        for i, row in enumerate(up):
-            if row & bit:
-                up[i] = row | row_k
+    _transitive_closure(up)
     if len(set(up)) != n:
         raise NotAPoset("cover relation contains a cycle")
     return up
@@ -119,13 +115,35 @@ def _tables_from_order(n, up, dn):
     return tuple(join_t), tuple(meet_t)
 
 
+def _bits(mask):
+    """The set bits of mask, ascending: the package's one set-bit walk."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _transitive_closure(rows):
+    """Warshall's pass over bit rows, in place: afterwards row i holds
+    every j reachable from i along the relation whose row i had bit j set.
+    Returns rows."""
+    for k in range(len(rows)):
+        bit, row_k = 1 << k, rows[k]
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    return rows
+
+
 def _covers_from_order(n, up, dn):
-    """The covering pairs (a, b), sorted: a < b with nothing in between."""
+    """The covering pairs (a, b), sorted: a < b with nothing in between.
+    Only the elements strictly above a are tested."""
     return tuple(
         (a, b)
         for a in range(n)
-        for b in range(n)
-        if a != b and up[a] >> b & 1 and (up[a] & dn[b]).bit_count() == 2
+        for b in _bits(up[a] ^ 1 << a)
+        if (up[a] & dn[b]).bit_count() == 2
     )
 
 
@@ -134,10 +152,8 @@ def _transpose(rows):
     down rows: bit b of row a becomes bit a of row b."""
     out = [0] * len(rows)
     for a, m in enumerate(rows):
-        while m:
-            b = (m & -m).bit_length() - 1
+        for b in _bits(m):
             out[b] |= 1 << a
-            m &= m - 1
     return out
 
 

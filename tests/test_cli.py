@@ -147,14 +147,18 @@ def test_enumerate_budget_exit(capsys):
         assert err.startswith("budget-exceeded:")
 
 
-@pytest.mark.parametrize("suite", ["remark1", "thm-b", "thm-c", "manycon"])
+@pytest.mark.parametrize("suite", ["remark1", "thm-b", "thm-c", "manycon", "pentagon"])
 def test_enumerating_suites_check_the_budget_before_any_order(capsys, monkeypatch, suite):
     def compute(n):
         raise AssertionError(f"order {n} computed past the budget")
 
     monkeypatch.setattr(em, "extremal_report", compute)
     monkeypatch.setattr(em, "all_lattices", compute)
-    code, out, err = run(capsys, ["verify", "--suite", suite, "--n", "12"])
+    monkeypatch.setattr(em, "glued_n5_family", compute)
+    monkeypatch.setattr(cg, "congruence_energies", compute)
+    # pentagon's budget is Con(L)'s: 5 * 2^(k-5) members, past it at k = 17
+    n = "17" if suite == "pentagon" else "12"
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--n", n])
     assert code == cli.EXIT_BUDGET
     assert out == ""
     assert err.startswith("budget-exceeded:")

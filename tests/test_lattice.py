@@ -185,6 +185,30 @@ def test_tables_reject_what_the_bit_scan_rejects():
             lt.from_covers(n, covers)
 
 
+def test_bit_kernels_match_plain_scans():
+    # the one set-bit walk and the one Warshall pass that lattice,
+    # congruence, algebra and enumeration share
+    for m in range(1 << 12):
+        assert lt._bits(m) == [i for i in range(m.bit_length()) if m >> i & 1]
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        p = rng.random()
+        adj = [[j for j in range(n) if rng.random() < p] for _ in range(n)]  # loops, cycles
+        rows = [sum(1 << j for j in out) for out in adj]
+        want = []
+        for i in range(n):
+            seen, todo = set(adj[i]), list(adj[i])  # paths of one or more edges
+            while todo:
+                for j in adj[todo.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        todo.append(j)
+            want.append(sum(1 << j for j in seen))
+        assert lt._transitive_closure(rows) is rows
+        assert rows == want
+
+
 def test_glued_sum():
     assert lt.glued_sum(lt.chain(2), lt.chain(2)).covers == lt.chain(3).covers
     b4 = lt.named("B4")
