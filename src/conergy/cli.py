@@ -2,13 +2,14 @@
 energy/congruence/enumeration computations, emit JSON reports.
 
 Exit codes: 0 success/verified, 1 verification counterexample, 2 input
-error, 3 budget exceeded.
+error, 3 budget exceeded, 4 internal error (a bug, never a verdict).
 """
 
 import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import algebra as alg
 from . import congruence as cg
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 EQU_BOUND_TABLE = (0, 2, 10, 46, 218, 1088, 5752, 32226, 190990, 1194310)
 
@@ -72,6 +74,8 @@ def load_json(text, what):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{what} is not JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedInput(f"{what} is nested too deeply") from None
     if what == "--by":
         return _ints(doc, what)
     if (
@@ -102,8 +106,32 @@ def _write(text, out=None):
         print(text)
 
 
+def _json_text(doc, indent=""):
+    """json.dumps(doc, indent=2, sort_keys=True), nested at indent, with each
+    list of ints in one join; floats, non-string keys and empty containers
+    are json.dumps's own text, re-indented."""
+    inner, sep = indent + "  ", ",\n" + indent + "  "
+    if isinstance(doc, str):
+        return _quote(doc)
+    if doc is None or type(doc) in (bool, int):
+        return "null" if doc is None else str(doc).lower()  # True -> "true"
+    if isinstance(doc, (list, tuple)) and doc:
+        if {*map(type, doc)} == {int}:
+            body = sep.join(map(str, doc))
+        elif all(x and type(x) in (list, tuple) and {*map(type, x)} == {int} for x in doc):
+            deeper = ",\n  " + inner
+            body = sep.join([f"[\n  {inner}{deeper.join(map(str, x))}\n{inner}]" for x in doc])
+        else:
+            body = sep.join([_json_text(x, inner) for x in doc])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(doc, dict) and doc and {*map(type, doc)} == {str}:
+        body = sep.join([f"{_quote(k)}: {_json_text(doc[k], inner)}" for k in sorted(doc)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def _emit(doc, out=None):
-    _write(json.dumps(doc, indent=2, sort_keys=True), out)
+    _write(_json_text(doc), out)
 
 
 def cmd_energy(args):
@@ -406,6 +434,10 @@ def main(argv=None):
     except (ConergyError, ValueError, OSError) as exc:
         print(f"input-error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault here, which must not read as a counterexample
+        sys.excepthook(type(exc), exc, exc.__traceback__)  # the traceback, for a report
+        print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

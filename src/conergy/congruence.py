@@ -12,8 +12,8 @@ routine runs on a Lattice and on the rows the enumeration holds.
 Since blocks are intervals, the member of down-set D is the equivalence
 generated by the covers whose label is in D, so ``all_congruences`` builds
 each member with one partition join and keeps its down-set mask beside it.
-``principal_congruence`` closes a pair under every row of the join and
-meet tables with ``partition.join_pairs``, the union-find that algebras
+``principal_congruence`` closes a pair under the translations x -> x v c
+and x -> x ^ c with ``partition.join_pairs``, the union-find that algebras
 run over their own translations; it is the oracle for the labels.
 
 ``congruence_energies`` does not build Con at all.  By the paper's claim
@@ -164,9 +164,10 @@ def perspectivity_closure(lat, seed):
 
 def principal_congruence(lat, a, b):
     """Least congruence collapsing (a, b), for any pair: the closure of the
-    pair under every row of the join and meet tables, the translations
-    x -> x v c and x -> x ^ c."""
-    return pt.join_pairs(lat.n, [(a, b)], lat.join_table + lat.meet_table)
+    pair under the translations x -> x v c and x -> x ^ c, one row per c."""
+    n = lat.n
+    rows = [tuple(f(c, x) for x in range(n)) for f in (lat.join, lat.meet) for c in range(n)]
+    return pt.join_pairs(n, [(a, b)], rows)
 
 
 def _budget_check(members):
@@ -385,8 +386,10 @@ def quotient(lat, theta):
     # a block is an interval, so its bottom has the smallest down-set
     bots = [min(block, key=lambda x: lat.dn_bits[x].bit_count()) for block in theta.blocks()]
     up = [sum(1 << j for j, b in enumerate(bots) if lat.leq(a, b)) for a in bots]
+    dn = [sum(1 << i for i, a in enumerate(bots) if lat.leq(a, b)) for b in bots]
     index = {r: i for i, r in enumerate(sorted(set(theta.rep)))}
-    return lt.from_order_bits(len(bots), up), tuple(index[r] for r in theta.rep)
+    q = lt._from_rows(len(bots), lt._covers_from_order(up), up, dn)  # L/theta is a lattice
+    return q, tuple(index[r] for r in theta.rep)
 
 
 def upset_split(c, alpha):

@@ -15,14 +15,14 @@ greatest invariant (see ``_keyed_lattices`` for why no class is lost).
 The rest are deduplicated by poset canonical form at every level.  At
 the last level the top is appended before the canonical form is taken:
 adding a top is a bijection from (n-1)-element meet semilattices onto
-n-element lattices, so the key is already the lattice's canonical form.  ``extremal_report`` folds the
-first child of each class into its record there, on the child's own rows:
-CE and |Con| from the down-sets of J (``congruence._row_energies``), and
-the antichain and shape tests.  No Lattice, and so no join or meet table,
-is built per class.  The key is the order matrix in the canonical
+n-element lattices, so the key is already the lattice's canonical form.
+``extremal_report`` folds the first child of each class into its record
+there, on the child's own rows: CE and |Con| from the down-sets of J
+(``congruence._row_energies``), and the antichain and shape tests.  No
+Lattice is built per class.  The key is the order matrix in the canonical
 labelling, so the covers follow from it alone: ``covers_from_key`` decodes
-them when they are asked for, and ``all_lattices`` builds a validated
-Lattice from each key.
+them when they are asked for, and ``all_lattices`` builds a Lattice from
+each key's rows, unchecked, since every key is a lattice's.
 
 An independent labeled-poset oracle (enumerate all naturally labeled
 posets, filter the lattice property) guards completeness at small sizes.
@@ -58,16 +58,15 @@ def _lattice_from_dn(dn):
 
 def all_lattices(n):
     """All n-element lattices, one representative per isomorphism class,
-    in canonical-form order, each in its canonical labelling."""
-    classes = _keyed_lattices(n, lambda *rows: None)
-    return [lt.from_order_bits(n, lt._up_rows_from_code(key)) for key in sorted(classes)]
+    in canonical-form order, each in its canonical labelling, unchecked."""
+    ups = map(lt._up_rows_from_code, sorted(_keyed_lattices(n, lambda *rows: None)))
+    return [lt._from_rows(n, lt._covers_from_order(up), up, lt._transpose(up)) for up in ups]
 
 
 def covers_from_key(key):
     """The covering pairs (lo, hi), sorted, of the lattice whose canonical
     form is ``key``, in its canonical labelling."""
-    up = lt._up_rows_from_code(key)
-    return lt._covers_from_order(key[0], up, lt._transpose(up))
+    return lt._covers_from_order(lt._up_rows_from_code(key))
 
 
 def _keyed_lattices(n, fold):

@@ -1,17 +1,17 @@
 """Finite lattices: validated construction, named builders, glued sums,
 duality, and isomorphism for small orders.
 
-Elements are integers 0..n-1.  The order matrix is stored as packed bit
-rows: ``up_bits[a]`` has bit b set iff a <= b, and ``dn_bits[b]`` has bit a
-set iff a <= b.  All values are immutable after construction.  Covers,
-the join and meet tables and the canonical form all come from the rows:
-the join of a and b is the element whose up-set is up_bits[a] & up_bits[b]
-(one dict lookup, dually for the meet), and the canonical form takes the
-rows and the lower covers themselves, not an order predicate.  It tries
-one order per arrangement of twin classes, and returns the code and the
-twin classes.
+Elements are integers 0..n-1.  A lattice is its covers and its packed bit
+rows: bit b of ``up_bits[a]`` and bit a of ``dn_bits[b]`` are set iff
+a <= b.  There are no tables: the join of a and b is the element whose
+up-set is up_bits[a] & up_bits[b], one lookup in a dict built once per
+lattice, and dually for the meet.  Only untrusted input is checked
+(``from_covers``, ``from_order_bits``); chains, glued sums, quotients and
+the generator's classes are lattices by theorem and build their rows
+directly.  The canonical form takes the rows and the lower covers.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -27,9 +27,9 @@ from .errors import (
 # to here: without twins, an invariant class of k elements costs k! orders.
 ISO_BUDGET = 10
 
-# Construction builds n x n join and meet tables: chain 256 takes about
-# 0.04 s on a 2-vCPU host with Python 3.11.  Chains past 15 elements
-# already exceed the Con budget.
+# Validation tests all n^2 pairs: from_covers on chain 256 takes about 0.07 s
+# on a 2-vCPU host with Python 3.11, chain(256) unchecked under 1 ms.  Chains
+# past 15 elements already exceed the Con budget.
 LATTICE_BUDGET = 256
 
 
@@ -45,27 +45,31 @@ class Lattice:
     covers: tuple            # sorted tuple of (lo, hi) covering pairs
     up_bits: tuple           # up_bits[a] = bitmask of {b : a <= b}
     dn_bits: tuple           # dn_bits[b] = bitmask of {a : a <= b}
-    join_table: tuple
-    meet_table: tuple
+
+    @functools.cached_property
+    def _join_of(self):
+        return {u: z for z, u in enumerate(self.up_bits)}
+
+    @functools.cached_property
+    def _meet_of(self):
+        return {d: z for z, d in enumerate(self.dn_bits)}
 
     def leq(self, a, b):
         return bool(self.up_bits[a] >> b & 1)
 
     def join(self, a, b):
-        return self.join_table[a][b]
+        return self._join_of[self.up_bits[a] & self.up_bits[b]]
 
     def meet(self, a, b):
-        return self.meet_table[a][b]
+        return self._meet_of[self.dn_bits[a] & self.dn_bits[b]]
 
     @property
     def bottom(self):
-        full = (1 << self.n) - 1
-        return next(a for a in range(self.n) if self.up_bits[a] == full)
+        return self.up_bits.index((1 << self.n) - 1)
 
     @property
     def top(self):
-        full = (1 << self.n) - 1
-        return next(a for a in range(self.n) if self.dn_bits[a] == full)
+        return self.dn_bits.index((1 << self.n) - 1)
 
     def upper_covers(self, a):
         return sorted(b for (x, b) in self.covers if x == a)
@@ -94,25 +98,16 @@ def _closure_from_covers(n, covers):
     return up
 
 
-def _tables_from_order(n, up, dn):
-    """Join/meet tables from the order bitmasks; NotALattice if some pair
-    has no least upper bound or no greatest lower bound.
-
-    In a lattice the common upper bounds of a and b are the up-set of
-    a v b, so the join is one lookup of up[a] & up[b] among the up-sets,
-    and dually for the meet.  A pair has a least upper bound exactly when
-    that lookup succeeds.
-    """
-    join_of = {u: z for z, u in enumerate(up)}
-    meet_of = {d: z for z, d in enumerate(dn)}
-    join_t = [tuple([join_of.get(ua & ub) for ub in up]) for ua in up]
-    meet_t = [tuple([meet_of.get(da & db) for db in dn]) for da in dn]
+def _check_lattice(n, up, dn):
+    """NotALattice naming the first pair a <= b with no join or meet: a pair
+    has a join iff up[a] & up[b] is some element's up row; dually for meet."""
+    ups, dns = set(up), set(dn)
     for a in range(n):
-        if None in join_t[a] or None in meet_t[a]:
-            b = next(b for b in range(a, n) if None in (join_t[a][b], meet_t[a][b]))
-            what = "join" if join_t[a][b] is None else "meet"
+        ua, da = up[a], dn[a]
+        if not ({ua & u for u in up} <= ups and {da & d for d in dn} <= dns):
+            b = next(b for b in range(a, n) if ua & up[b] not in ups or da & dn[b] not in dns)
+            what = "join" if ua & up[b] not in ups else "meet"
             raise NotALattice(f"elements {a} and {b} have no unique {what}")
-    return tuple(join_t), tuple(meet_t)
 
 
 def _bits(mask):
@@ -136,15 +131,16 @@ def _transitive_closure(rows):
     return rows
 
 
-def _covers_from_order(n, up, dn):
-    """The covering pairs (a, b), sorted: a < b with nothing in between.
-    Only the elements strictly above a are tested."""
-    return tuple(
-        (a, b)
-        for a in range(n)
-        for b in _bits(up[a] ^ 1 << a)
-        if (up[a] & dn[b]).bit_count() == 2
-    )
+def _covers_from_order(up):
+    """The covering pairs (a, b), sorted: b covers a when it lies in the
+    strict up-set of a but above none of its other members."""
+    strict, out = [u ^ 1 << a for a, u in enumerate(up)], []
+    for a, s in enumerate(strict):
+        above = 0
+        for c in _bits(s):
+            above |= strict[c]
+        out += [(a, b) for b in _bits(s & ~above)]
+    return tuple(out)
 
 
 def _transpose(rows):
@@ -157,12 +153,23 @@ def _transpose(rows):
     return out
 
 
+def _from_rows(n, covers, up, dn):
+    """A Lattice from rows that are a lattice's by theorem: no check."""
+    return Lattice(n, tuple(covers), tuple(up), tuple(dn))
+
+
+def _check_size(n):
+    if n < 1:
+        raise OutOfRange(f"n must be >= 1, got {n}")
+    if n > LATTICE_BUDGET:
+        raise BudgetExceeded(f"lattices limited to n <= {LATTICE_BUDGET}, got {n}")
+
+
 def from_order_bits(n, up):
     """Build a validated Lattice directly from up-bitmasks."""
     dn = _transpose(up)
-    covers = _covers_from_order(n, up, dn)
-    join_t, meet_t = _tables_from_order(n, up, dn)
-    return Lattice(n, covers, tuple(up), tuple(dn), join_t, meet_t)
+    _check_lattice(n, up, dn)
+    return _from_rows(n, _covers_from_order(up), up, dn)
 
 
 def from_covers(n, covers):
@@ -171,10 +178,7 @@ def from_covers(n, covers):
     The input pairs must be true covering pairs: a pair implied by
     transitivity is rejected with RedundantCover rather than repaired.
     """
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
-    if n > LATTICE_BUDGET:
-        raise BudgetExceeded(f"lattices limited to n <= {LATTICE_BUDGET}, got {n}")
+    _check_size(n)
     seen = set()
     for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
@@ -191,52 +195,51 @@ def from_covers(n, covers):
 
 
 def chain(n):
-    """The n-element chain 0 < 1 < ... < n-1.  The covers are a generator,
-    so a size past LATTICE_BUDGET is refused before any is made."""
-    return from_covers(n, ((i, i + 1) for i in range(n - 1)))
+    """The n-element chain 0 < 1 < ... < n-1, its size checked first."""
+    _check_size(n)
+    up = [(1 << n) - (1 << a) for a in range(n)]
+    return _from_rows(n, [(i, i + 1) for i in range(n - 1)], up, [(2 << b) - 1 for b in range(n)])
 
 
 # N5 labels: 0 < P < Q < 4 on the long side, 0 < A < 4 on the short side.
 N5_P, N5_Q, N5_A = 1, 2, 3
 
-_NAMED_COVERS = {
-    "B4": (4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
-    "M3": (5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
-    "N5": (5, [(0, N5_P), (N5_P, N5_Q), (N5_Q, 4), (0, N5_A), (N5_A, 4)]),
+_NAMED = {  # fixed data, validated once at import; named() hands out these
+    "B4": from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+    "M3": from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+    "N5": from_covers(5, [(0, N5_P), (N5_P, N5_Q), (N5_Q, 4), (0, N5_A), (N5_A, 4)]),
 }
 
 
 def named(ident):
-    try:
-        n, covers = _NAMED_COVERS[ident]
-    except KeyError:
-        raise OutOfRange(f"unknown lattice name {ident!r}") from None
-    return from_covers(n, covers)
+    if ident not in _NAMED:
+        raise OutOfRange(f"unknown lattice name {ident!r}")
+    return _NAMED[ident]
 
 
 def glued_sum(base, *parts):
     """Stack the parts on top of base, bottom to top, identifying the top
-    of each lattice with the bottom of the next, and validate the stack
-    once, from one cover list.
+    of each lattice with the bottom of the next.  A stack of lattices is a
+    lattice, so after the size check its rows are built directly.
 
     Result size is the sum of the sizes minus the number of parts; base
     keeps its labels, and the non-bottom elements of each part get fresh
     labels in their original order, so glued_sum(u, v, w) equals
     glued_sum(glued_sum(u, v), w).
     """
+    _check_size(n := base.n + sum(v.n - 1 for v in parts))
+    up, dn, covers = list(base.up_bits), list(base.dn_bits), list(base.covers)
     t, nxt = base.top, base.n
-    covers = list(base.covers)
     for v in parts:
-        relabel = {}
-        for x in range(v.n):
-            if x == v.bottom:
-                relabel[x] = t
-            else:
-                relabel[x] = nxt
-                nxt += 1
-        covers += [(relabel[a], relabel[b]) for a, b in v.covers]
-        t = relabel[v.top]
-    return from_covers(nxt, covers)
+        b, new = v.bottom, ((1 << v.n - 1) - 1) << nxt
+        label = [t if x == b else nxt + x - (x > b) for x in range(v.n)]
+        # v's rows without its bottom, in stack labels: from nxt on, skipping b
+        rows = [(m & ~(-1 << b)) << nxt | (m >> b + 1) << (nxt + b) for m in v.up_bits + v.dn_bits]
+        up = [u | new for u in up] + [r for x, r in enumerate(rows[:v.n]) if x != b]
+        dn += [(1 << nxt) - 1 | r for x, r in enumerate(rows[v.n:]) if x != b]
+        covers += [(label[x], label[y]) for x, y in v.covers]
+        t, nxt = label[v.top], nxt + v.n - 1
+    return _from_rows(n, sorted(covers), up, dn)
 
 
 def dual(lat):
@@ -372,14 +375,16 @@ def canonical_order_matrix(n, up, dn, lower):
     return bytes([n]) + code.to_bytes((n * n + 7) // 8, "big"), tuple(twins)
 
 
+_REVERSED_BITS = bytes(sum((x >> i & 1) << (7 - i) for i in range(8)) for x in range(256))
+
+
 def _up_rows_from_code(code):
     """The up rows of the poset whose canonical code is ``code``, in the
     canonical labelling: bit (i, j) of the n*n matrix, most significant
-    first, is i <= j."""
+    first, is i <= j; reversing its bits a byte at a time puts it at n*i + j."""
     n = code[0]
-    matrix = int.from_bytes(code[1:], "big")
-    rows = [matrix >> (n * (n - 1 - i)) & ((1 << n) - 1) for i in range(n)]
-    return [int(format(row, f"0{n}b")[::-1], 2) for row in rows]
+    matrix = int.from_bytes(code[1:].translate(_REVERSED_BITS), "little") >> -n * n % 8
+    return [matrix >> n * i & (1 << n) - 1 for i in range(n)]
 
 
 def canonical_form(lat):

@@ -333,12 +333,14 @@ def test_bad_input_file(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
     code, out, err = run(capsys, ["energy", "--builder", "chain:zero"])
     assert code == cli.EXIT_INPUT
-    for doc in ('{"n": "3", "covers": []}', '{"n": 3, "covers": 5}', "[[0, 1]]"):
+    # the last of each is valid JSON nested past the parser's recursion limit
+    deep_doc, deep_by = "[" * 100_000 + "]" * 100_000, "[" * 20_000 + "]" * 20_000
+    for doc in ('{"n": "3", "covers": []}', '{"n": 3, "covers": 5}', "[[0, 1]]", deep_doc):
         path.write_text(doc)
         code, out, err = run(capsys, ["energy", str(path)])
         assert code == cli.EXIT_INPUT
         assert err.startswith("input-error:")
-    for by in ("5", '[0,0,"a"]'):
+    for by in ("5", '[0,0,"a"]', deep_by):
         code, out, err = run(capsys, ["quotient", "--builder", "chain:3", "--by", by])
         assert code == cli.EXIT_INPUT
         assert err.startswith("input-error:")
@@ -435,3 +437,60 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     # place after the parser was built still runs
     monkeypatch.setattr(cli, "cmd_table", lambda args: 7)
     assert cli.main(table) == 7
+
+
+def test_an_internal_fault_exits_4_never_1(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_energy", broken)
+    code, out, err = run(capsys, ["energy", "--builder", "b4"])
+    assert code == cli.EXIT_INTERNAL == 4 and out == ""
+    assert err.startswith("Traceback") and err.endswith("\ninternal-error: RuntimeError: boom\n")
+
+
+def dumped(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+writer_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.lists(st.integers(-3, 300), max_size=3), max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(st.integers(-2, 2), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(writer_docs)
+def test_writer_matches_json_dumps(doc):
+    assert cli._json_text(doc) == dumped(doc)
+
+
+def test_writer_matches_json_dumps_on_every_verb(capsys, monkeypatch):
+    docs = []
+    real = cli._emit
+
+    def checked(doc, out=None):
+        docs.append(doc)
+        assert cli._json_text(doc) == dumped(doc)
+        real(doc, out)
+
+    monkeypatch.setattr(cli, "_emit", checked)
+    argvs = [
+        ["energy", "--builder", "glue:n5,b4,chain:3"],
+        ["conlat", "--builder", "glue:m3,chain:3,b4"],
+        ["conlat", "--builder", "chain:1"],
+        ["quotient", "--builder", "glue:n5,b4,chain:3", "--by", "[0,1,2,3,4,4,6,6,8,8]"],
+        ["enumerate", "--n", "6"],
+        ["enumerate", "--n", "6", "--emit"],
+        ["enumerate", "--n", "2"],
+        ["table", "--max-n", "12"],
+        ["oracle", "--n", "4"],
+    ] + [["verify", "--suite", suite, "--n", "5"] for suite in sorted(cli.SUITES)]
+    for argv in argvs:
+        assert run(capsys, argv)[0] == cli.EXIT_OK, argv
+    assert len(docs) == len(argvs)

@@ -1,9 +1,11 @@
 import itertools
 import random
 import tracemalloc
+import types
 
 import pytest
 
+from conergy import congruence as cg
 from conergy import enumeration as em
 from conergy import lattice as lt
 from conergy.errors import (
@@ -160,8 +162,12 @@ def test_tables_by_lookup_match_the_bit_scan():
     for n in range(1, 8):
         for lat in em.all_lattices(n):
             want = scanned_tables(n, lat.up_bits, lat.dn_bits)
-            assert lt._tables_from_order(n, lat.up_bits, lat.dn_bits) == want
-            assert (lat.join_table, lat.meet_table) == want
+            lt._check_lattice(n, lat.up_bits, lat.dn_bits)
+            got = tuple(
+                tuple(tuple(op(a, b) for b in range(n)) for a in range(n))
+                for op in (lat.join, lat.meet)
+            )
+            assert got == want
 
 
 def test_tables_reject_what_the_bit_scan_rejects():
@@ -178,7 +184,7 @@ def test_tables_reject_what_the_bit_scan_rejects():
         with pytest.raises(NotALattice) as want:
             scanned_tables(n, up, dn)
         with pytest.raises(NotALattice) as got:
-            lt._tables_from_order(n, up, dn)
+            lt._check_lattice(n, up, dn)
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith(f"have no unique {what}")
         with pytest.raises(NotALattice):
@@ -229,7 +235,9 @@ def test_glued_sum_stacks_many_in_one_pass(monkeypatch):
     real = lt.from_covers
     monkeypatch.setattr(lt, "from_covers", lambda n, covers: built.append(n) or real(n, covers))
     g = lt.glued_sum(*parts)
-    assert built == [g.n] == [sum(p.n for p in parts) - len(parts) + 1]
+    # the stack is built from the parts' rows, with no validation
+    assert built == [] and g.n == sum(p.n for p in parts) - len(parts) + 1
+    assert g == real(g.n, g.covers)
 
 
 def test_dual():
@@ -305,3 +313,47 @@ def test_json_round_trip():
     doc = lat.to_json_dict()
     back = lt.from_covers(doc["n"], [tuple(c) for c in doc["covers"]])
     assert back.covers == lat.covers
+
+
+def test_trusted_builders_match_the_validated_build():
+    # chain, named, glued_sum and quotient build their rows with no check;
+    # from_covers rebuilds each from its covers and checks everything
+    def same(lat):
+        assert lat == lt.from_covers(lat.n, list(lat.covers))
+
+    for n in range(1, 13):
+        same(lt.chain(n))
+    for name in ("B4", "M3", "N5"):
+        same(lt.named(name))
+    rng = random.Random(22)
+    pool = [lt.chain(k) for k in range(1, 5)] + [lt.named(x) for x in ("B4", "M3", "N5")]
+    pool += [lt.dual(lt.named("N5")), relabel(lt.named("N5"), [3, 0, 1, 2, 4])]  # bottom not 0
+    for _ in range(300):
+        same(lt.glued_sum(*rng.choices(pool, k=rng.randint(2, 4))))
+    for n in range(1, 7):
+        for lat in em.all_lattices(n):
+            same(lat)
+            for theta in cg.all_congruences(lat).members:
+                same(cg.quotient(lat, theta)[0])
+
+
+def test_up_rows_decode_the_canonical_code_bit_by_bit():
+    # oracle: bit (i, j) of the n*n matrix, most significant first, is i <= j
+    for n in range(1, 9):
+        for key in em._keyed_lattices(n, lambda *rows: None):
+            matrix = int.from_bytes(key[1:], "big")
+            want = [
+                sum(1 << j for j in range(n) if matrix >> (n * n - 1 - n * i - j) & 1)
+                for i in range(n)
+            ]
+            assert lt._up_rows_from_code(key) == want
+            assert lt.canonical_form(lt.from_order_bits(n, want)) == key
+
+
+def test_glued_size_is_refused_before_any_row_is_made():
+    # parts that have a size and nothing else: reading a row would fail
+    sized = types.SimpleNamespace(n=200)
+    with pytest.raises(BudgetExceeded):
+        lt.glued_sum(sized, sized)
+    with pytest.raises(BudgetExceeded):
+        lt.chain(10**9)
