@@ -35,7 +35,9 @@ TABLE_BUDGET = 200
 AUX_BUDGET = 100
 
 
-def _build_one(spec):
+def _part(spec):
+    """(size, build) of one builder part, its size checked and nothing
+    built: a chain's size is in its spec, a named lattice is fixed data."""
     s = spec.strip().lower()
     if s.startswith("chain:"):
         size = s.split(":", 1)[1]
@@ -43,16 +45,22 @@ def _build_one(spec):
             n = int(size)
         except ValueError:
             raise MalformedInput(f"chain size must be an integer, got {size!r}") from None
-        return lt.chain(n)
+        lt._check_size(n)
+        return n, functools.partial(lt.chain, n)
     if s in ("b4", "m3", "n5"):
-        return lt.named(s.upper())
+        lat = lt.named(s.upper())
+        return lat.n, lambda: lat
     raise MalformedInput(f"unknown builder part {spec!r}")
 
 
 def parse_builder(spec):
-    if spec.lower().startswith("glue:"):
-        return lt.glued_sum(*[_build_one(p) for p in spec[len("glue:"):].split(",")])
-    return _build_one(spec)
+    """The lattice of a builder spec.  Every part is parsed and checked,
+    and then the glued size, before any part is built."""
+    glue = spec.lower().startswith("glue:")
+    parts = [_part(p) for p in (spec[len("glue:"):].split(",") if glue else [spec])]
+    lt._check_size(sum(n - 1 for n, _ in parts) + 1)
+    lats = [build() for _, build in parts]
+    return lt.glued_sum(*lats) if glue else lats[0]
 
 
 def _ints(value, what, length=None):

@@ -5,10 +5,10 @@ quadrilateral closure conditions (one and its dual) hold.  Con(L) is
 distributive (Funayama-Nakayama), the down-sets O(J) of its
 join-irreducibles J, the congruences of covering pairs (after Freese,
 "Computing congruences efficiently", 2008).  ``_label_rows`` finds J, its
-order and the label con(y, x) in J of each cover y < x on bit rows, by
-Day's D relation on the join-irreducible elements of L, with no partition
-and no join table: each join is one lookup among the up-sets, so the same
-routine runs on a Lattice and on the rows the enumeration holds.
+order and the label con(y, x) in J of each cover y < x on the lattice's
+bit rows and lower covers, by Day's D relation on the join-irreducible
+elements of L, with no partition and no join table: each join is one
+lookup among the up-sets.
 Since blocks are intervals, the member of down-set D is the equivalence
 generated by the covers whose label is in D, so ``all_congruences`` builds
 each member with one partition join and keeps its down-set mask beside it.
@@ -112,18 +112,17 @@ def is_congruence(lat, p):
         if between.bit_count() != len(block):
             return False
         # lo/hi in the block is implied when the popcounts match
-    for x, y in lat.covers:
-        if not p.same_block(x, y):
-            continue
-        for z in lat.upper_covers(x):
-            if z != y and not p.same_block(z, lat.join(y, z)):
-                return False
-    for y, x in lat.covers:
-        if not p.same_block(x, y):
-            continue
-        for z in lat.lower_covers(x):
-            if z != y and not p.same_block(z, lat.meet(y, z)):
-                return False
+    upper = [[] for _ in range(lat.n)]
+    for x, ys in enumerate(lat.lower):
+        for y in ys:
+            upper[y].append(x)
+    # x collapsed with a cover y of x collapses every other cover z of x on
+    # the same side with y v z above x, with y ^ z below it
+    for covers, op in ((upper, lat.join), (lat.lower, lat.meet)):
+        for x, ys in enumerate(covers):
+            for y in ys:
+                if p.same_block(x, y) and any(z != y and not p.same_block(z, op(y, z)) for z in ys):
+                    return False
     return True
 
 
@@ -278,7 +277,7 @@ def all_congruences(lat):
     label t, joined with the covers labelled t.  Raises BudgetExceeded as
     soon as Con has more than CON_BUDGET members.
     """
-    below, labels = _label_rows(*lt._rows(lat))
+    below, labels = _label_rows(lat)
     links = [[] for _ in below]
     for y, x, t in labels:
         links[t].append((y, x))
@@ -292,9 +291,8 @@ def all_congruences(lat):
     return CongruenceLattice(lat.n, *_sorted_with(members, masks), below)
 
 
-def _label_rows(n, up, dn, lower):
-    """(below, labels) of the lattice with up rows ``up``, down rows ``dn``
-    and lower-cover lists ``lower``: the join-irreducibles of Con(L)
+def _label_rows(lat):
+    """(below, labels) of the lattice: the join-irreducibles of Con(L)
     numbered along a linear extension, below[t] the bitmask of those
     strictly below member t, and one (y, x, t) in labels for each cover
     y < x, t the label of con(y, x).  No partition is built.
@@ -315,6 +313,7 @@ def _label_rows(n, up, dn, lower):
     j ^ y = j_*.  The first such j in a list of J sorted by down-set size
     is minimal.
     """
+    n, up, dn, lower = lat.n, lat.up_bits, lat.dn_bits, lat.lower
     join_of = {u: z for z, u in enumerate(up)}
     jis = [j for j in range(n) if len(lower[j]) == 1]
     jmask = sum(1 << j for j in jis)
@@ -342,20 +341,15 @@ def _label_rows(n, up, dn, lower):
 
 def congruence_energies(lat):
     """The energy of every member of Con(L), in down-set order, without
-    building Con(L) (see ``_row_energies``).  Sum and length give CE(L) and
-    |Con(L)|.  Raises BudgetExceeded as soon as Con has more than
-    CON_BUDGET members."""
-    return _row_energies(*lt._rows(lat))
+    building Con(L).  Sum and length give CE(L) and |Con(L)|.  Raises
+    BudgetExceeded as soon as Con has more than CON_BUDGET members.
 
-
-def _row_energies(n, up, dn, lower):
-    """``congruence_energies`` of the lattice given by its rows, as
-    ``_label_rows`` takes them.  The member of down-set D of J has energy
-    2 #{x : D meets S_x}, S_x the labels of x's lower covers (see the module
-    docstring).  With hit[t] the bitmask of the x whose S_x holds t, the x
-    counted for D are the union of hit[t] over t in D: one OR onto the
-    union of D minus its top label, and one popcount, per member."""
-    below, labels = _label_rows(n, up, dn, lower)
+    The member of down-set D of J has energy 2 #{x : D meets S_x}, S_x the
+    labels of x's lower covers (see the module docstring).  With hit[t] the
+    bitmask of the x whose S_x holds t, the x counted for D are the union
+    of hit[t] over t in D: one OR onto the union of D minus its top label,
+    and one popcount, per member."""
+    below, labels = _label_rows(lat)
     hit = [0] * len(below)
     for _, x, t in labels:
         hit[t] |= 1 << x
@@ -388,7 +382,7 @@ def quotient(lat, theta):
     up = [sum(1 << j for j, b in enumerate(bots) if lat.leq(a, b)) for a in bots]
     dn = [sum(1 << i for i, a in enumerate(bots) if lat.leq(a, b)) for b in bots]
     index = {r: i for i, r in enumerate(sorted(set(theta.rep)))}
-    q = lt._from_rows(len(bots), lt._covers_from_order(up), up, dn)  # L/theta is a lattice
+    q = lt._from_rows(len(bots), up, dn, lt._lower_from_order(dn))  # L/theta is a lattice
     return q, tuple(index[r] for r in theta.rep)
 
 

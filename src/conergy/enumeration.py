@@ -16,13 +16,14 @@ The rest are deduplicated by poset canonical form at every level.  At
 the last level the top is appended before the canonical form is taken:
 adding a top is a bijection from (n-1)-element meet semilattices onto
 n-element lattices, so the key is already the lattice's canonical form.
-``extremal_report`` folds the first child of each class into its record
-there, on the child's own rows: CE and |Con| from the down-sets of J
-(``congruence._row_energies``), and the antichain and shape tests.  No
-Lattice is built per class.  The key is the order matrix in the canonical
-labelling, so the covers follow from it alone: ``covers_from_key`` decodes
-them when they are asked for, and ``all_lattices`` builds a Lattice from
-each key's rows, unchecked, since every key is a lattice's.
+The first child of each class is folded there as a Lattice made from the
+rows the generator already holds, unchecked, since every child is a
+lattice: ``extremal_report`` folds it into its record (CE and |Con| from
+the down-sets of J, and the antichain and shape tests), and
+``all_lattices`` keeps it, in the labelling it was generated in.  The key
+is the order matrix in the canonical labelling, so the covers of that
+labelling follow from it alone: ``covers_from_key`` decodes them when they
+are asked for.
 
 An independent labeled-poset oracle (enumerate all naturally labeled
 posets, filter the lattice property) guards completeness at small sizes.
@@ -33,8 +34,8 @@ from . import counting as ct
 from . import lattice as lt
 from .errors import BudgetExceeded, DomainError
 
-# `enumerate --n 11` (37 622 classes) takes about 10-12 s at 84 MB peak on
-# a 2-vCPU host with Python 3.11; order 12 took 132 s at 960 MB.
+# `enumerate --n 11` (37 622 classes) takes about 9.5-13 s at 62 MB peak
+# on a 2-vCPU host with Python 3.11; order 12 took 83 s at 254 MB.
 ENUMERATION_BUDGET = 11
 
 
@@ -58,22 +59,24 @@ def _lattice_from_dn(dn):
 
 def all_lattices(n):
     """All n-element lattices, one representative per isomorphism class,
-    in canonical-form order, each in its canonical labelling, unchecked."""
-    ups = map(lt._up_rows_from_code, sorted(_keyed_lattices(n, lambda *rows: None)))
-    return [lt._from_rows(n, lt._covers_from_order(up), up, lt._transpose(up)) for up in ups]
+    in canonical-form order, unchecked, each labelled as generated: along a
+    linear extension, so every cover a < b, with bottom 0 and top n - 1."""
+    return [lat for _, lat in sorted(_keyed_lattices(n, lambda key, lat: lat).items())]
 
 
 def covers_from_key(key):
     """The covering pairs (lo, hi), sorted, of the lattice whose canonical
-    form is ``key``, in its canonical labelling."""
-    return lt._covers_from_order(lt._up_rows_from_code(key))
+    form is ``key``, in its canonical labelling.  Read on the up rows,
+    ``_lower_from_order`` gives each element's upper covers, ascending, so
+    the pairs come out sorted."""
+    upper = lt._lower_from_order(lt._up_rows_from_code(key))
+    return tuple((a, b) for a, cov in enumerate(upper) for b in cov)
 
 
 def _keyed_lattices(n, fold):
-    """{canonical form: fold(key, up, dn, lower)} over the iso classes of
-    order n, fold called once per class, on the rows of the first child in
-    that class: its up and down rows and lower-cover lists, in the child's
-    own labelling.
+    """{canonical form: fold(key, lat)} over the iso classes of order n,
+    fold called once per class, on the first child in that class as a
+    Lattice, in the child's own labelling.
 
     The children are lattices with no further test: each is a meet
     semilattice, as ``_has_greatest`` checks, with a top appended, and a
@@ -109,10 +112,10 @@ def _keyed_lattices(n, fold):
     if n > ENUMERATION_BUDGET:
         raise BudgetExceeded(f"all_lattices limited to n <= {ENUMERATION_BUDGET}")
     if n <= 2:
-        rows = lt._rows(lt.chain(n))
-        key = lt.canonical_order_matrix(*rows)[0]
-        return {key: fold(key, *rows[1:])}
-    level = [([1], [1], [[]], ())]  # (dn, up, lower covers, twin classes)
+        lat = lt.chain(n)
+        key = lt.canonical_form(lat)
+        return {key: fold(key, lat)}
+    level = [([1], [1], [()], ())]  # (dn, up, lower-cover tuples, twin classes)
     for k in range(1, n - 1):
         last = k == n - 2
         new = 1 << k
@@ -125,7 +128,7 @@ def _keyed_lattices(n, fold):
             for mask in _down_closed_subsets(dn, k):
                 if any(mask & hi and not mask & lo for lo, hi in steps):
                     continue
-                x_lower = [a for a in lt._bits(mask) if up[a] & mask == 1 << a]
+                x_lower = tuple([a for a in lt._bits(mask) if up[a] & mask == 1 << a])
                 x_inv = (mask.bit_count() + 1, len(x_lower))
                 if any(inv > x_inv for inv, y in rivals if not mask >> y & 1):
                     continue
@@ -139,10 +142,13 @@ def _keyed_lattices(n, fold):
                     top = 1 << (n - 1)
                     dn2.append(2 * top - 1)
                     up2 = [u | top for u in up2] + [top]
-                    lower2.append([y for y in maximal if not mask >> y & 1] + [k])
+                    lower2.append(tuple([y for y in maximal if not mask >> y & 1] + [k]))
                 key, twins2 = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
                 if key not in nxt:
-                    nxt[key] = fold(key, up2, dn2, lower2) if last else (dn2, up2, lower2, twins2)
+                    if last:
+                        nxt[key] = fold(key, lt._from_rows(n, up2, dn2, lower2))
+                    else:
+                        nxt[key] = (dn2, up2, lower2, twins2)
         level = list(nxt.values())
     return nxt
 
@@ -203,10 +209,9 @@ def glued_n5_family(n):
     return _glued_chain_core_chain(lt.named("N5"), n)
 
 
-def _core_shape(n, up, dn, lower):
-    """(size, cover count) of the only glued summand of L, given by its
-    rows, with more than two elements, or None when L has no such summand
-    or several.
+def _core_shape(lat):
+    """(size, cover count) of the only glued summand of L with more than
+    two elements, or None when L has no such summand or several.
 
     The glue points, the elements comparable to every element, cut L
     uniquely into intervals between consecutive glue points, and no such
@@ -214,6 +219,7 @@ def _core_shape(n, up, dn, lower):
     only 4-element lattice is B4 (4 covers), and the 5-element ones are N5
     (5 covers) and M3 (6 covers).
     """
+    n, up, dn = lat.n, lat.up_bits, lat.dn_bits
     full = (1 << n) - 1
     glue = sorted((c for c in range(n) if up[c] | dn[c] == full), key=lambda c: dn[c].bit_count())
     cores = [up[lo] & dn[hi] for lo, hi in zip(glue, glue[1:])]
@@ -221,31 +227,29 @@ def _core_shape(n, up, dn, lower):
     if len(cores) != 1:
         return None
     core = cores[0]
-    covers = sum(1 for b in lt._bits(core) for a in lower[b] if core >> a & 1)
+    covers = sum(1 for b in lt._bits(core) for a in lat.lower[b] if core >> a & 1)
     return core.bit_count(), covers
 
 
 def decomposes_as_chain_b4_chain(lat):
     """L is a chain + B4 + chain stacking (either chain may have one element)."""
-    return _core_shape(*lt._rows(lat)) == (4, 4)
+    return _core_shape(lat) == (4, 4)
 
 
 def is_glued_n5_shape(lat):
     """L is a chain + N5 + chain stacking (either chain may have one element)."""
-    return _core_shape(*lt._rows(lat)) == (5, 5)
+    return _core_shape(lat) == (5, 5)
 
 
 def _verdict(ok, detail=""):
     return "holds" if ok else f"fails: {detail}"
 
 
-def _record(key, up, dn, lower):
-    """The report record of the lattice with these rows, whose canonical
-    form is key."""
-    n = len(up)
-    energies = cg._row_energies(n, up, dn, lower)
-    pairs = lt._antichain_pairs(n, up, dn)
-    shape = _core_shape(n, up, dn, lower)
+def _record(key, lat):
+    """The report record of the lattice, whose canonical form is key."""
+    energies = cg.congruence_energies(lat)
+    pairs = lt.count_two_element_antichains(lat)
+    shape = _core_shape(lat)
     return {
         "canon": key.hex(),
         "ce": sum(energies),
@@ -262,7 +266,7 @@ def extremal_report(n):
     canonical-form order, the max and second witnesses, and the verdicts
     of the extremal statements by name; ``second_ce`` is None below order
     4, where the chain is the only lattice.  Each record is made from the
-    generator's own rows of the class, with no Lattice built."""
+    first Lattice the generator makes of the class."""
     records = [r for _, r in sorted(_keyed_lattices(n, _record).items())]
     max_ce = max(r["ce"] for r in records)
     rest = [r for r in records if r["ce"] < max_ce]

@@ -1,14 +1,18 @@
 """Finite lattices: validated construction, named builders, glued sums,
 duality, and isomorphism for small orders.
 
-Elements are integers 0..n-1.  A lattice is its covers and its packed bit
-rows: bit b of ``up_bits[a]`` and bit a of ``dn_bits[b]`` are set iff
-a <= b.  There are no tables: the join of a and b is the element whose
-up-set is up_bits[a] & up_bits[b], one lookup in a dict built once per
-lattice, and dually for the meet.  Only untrusted input is checked
-(``from_covers``, ``from_order_bits``); chains, glued sums, quotients and
-the generator's classes are lattices by theorem and build their rows
-directly.  The canonical form takes the rows and the lower covers.
+Elements are integers 0..n-1.  A lattice is its packed bit rows and its
+lower covers, the form the generator holds each class in: bit b of
+``up_bits[a]`` and bit a of ``dn_bits[b]`` are set iff a <= b, and
+``lower[b]`` lists the elements b covers, ascending; the sorted covering
+pairs are derived from them.  There are no tables: the join of a and b is
+the element whose up-set is up_bits[a] & up_bits[b], one lookup in a dict
+built once per lattice, and dually for the meet.  Only untrusted input is
+checked (``from_covers``, ``from_order_bits``); chains, glued sums,
+quotients and the generator's classes are lattices by theorem and build
+their rows directly.  Every function here and in ``congruence`` and
+``enumeration`` takes a Lattice; only the canonical form's kernel takes
+bare rows, since the generator's prefixes are not lattices.
 """
 
 import functools
@@ -42,9 +46,14 @@ class PrimeInterval:
 @dataclass(frozen=True)
 class Lattice:
     n: int
-    covers: tuple            # sorted tuple of (lo, hi) covering pairs
     up_bits: tuple           # up_bits[a] = bitmask of {b : a <= b}
     dn_bits: tuple           # dn_bits[b] = bitmask of {a : a <= b}
+    lower: tuple             # lower[b] = ascending tuple of the a that b covers
+
+    @functools.cached_property
+    def covers(self):
+        """The covering pairs (lo, hi), sorted."""
+        return tuple(sorted((a, b) for b, cov in enumerate(self.lower) for a in cov))
 
     @functools.cached_property
     def _join_of(self):
@@ -70,12 +79,6 @@ class Lattice:
     @property
     def top(self):
         return self.dn_bits.index((1 << self.n) - 1)
-
-    def upper_covers(self, a):
-        return sorted(b for (x, b) in self.covers if x == a)
-
-    def lower_covers(self, b):
-        return sorted(a for (a, x) in self.covers if x == b)
 
     def to_json_dict(self):
         return {"n": self.n, "covers": [list(c) for c in self.covers]}
@@ -131,16 +134,16 @@ def _transitive_closure(rows):
     return rows
 
 
-def _covers_from_order(up):
-    """The covering pairs (a, b), sorted: b covers a when it lies in the
-    strict up-set of a but above none of its other members."""
-    strict, out = [u ^ 1 << a for a, u in enumerate(up)], []
-    for a, s in enumerate(strict):
-        above = 0
+def _lower_from_order(dn):
+    """The lower covers of each element, ascending: b covers a when a lies
+    in the strict down-set of b but below none of its other members."""
+    strict, out = [d ^ 1 << b for b, d in enumerate(dn)], []
+    for s in strict:
+        below = 0
         for c in _bits(s):
-            above |= strict[c]
-        out += [(a, b) for b in _bits(s & ~above)]
-    return tuple(out)
+            below |= strict[c]
+        out.append(tuple(_bits(s & ~below)))
+    return out
 
 
 def _transpose(rows):
@@ -153,9 +156,10 @@ def _transpose(rows):
     return out
 
 
-def _from_rows(n, covers, up, dn):
-    """A Lattice from rows that are a lattice's by theorem: no check."""
-    return Lattice(n, tuple(covers), tuple(up), tuple(dn))
+def _from_rows(n, up, dn, lower):
+    """A Lattice from rows that are a lattice's by theorem: no check.  Each
+    of lower's lists must already be an ascending tuple."""
+    return Lattice(n, tuple(up), tuple(dn), tuple(lower))
 
 
 def _check_size(n):
@@ -169,7 +173,7 @@ def from_order_bits(n, up):
     """Build a validated Lattice directly from up-bitmasks."""
     dn = _transpose(up)
     _check_lattice(n, up, dn)
-    return _from_rows(n, _covers_from_order(up), up, dn)
+    return _from_rows(n, up, dn, _lower_from_order(dn))
 
 
 def from_covers(n, covers):
@@ -198,7 +202,7 @@ def chain(n):
     """The n-element chain 0 < 1 < ... < n-1, its size checked first."""
     _check_size(n)
     up = [(1 << n) - (1 << a) for a in range(n)]
-    return _from_rows(n, [(i, i + 1) for i in range(n - 1)], up, [(2 << b) - 1 for b in range(n)])
+    return _from_rows(n, up, [(2 << b) - 1 for b in range(n)], [()] + [(a,) for a in range(n - 1)])
 
 
 # N5 labels: 0 < P < Q < 4 on the long side, 0 < A < 4 on the short side.
@@ -228,7 +232,7 @@ def glued_sum(base, *parts):
     glued_sum(glued_sum(u, v), w).
     """
     _check_size(n := base.n + sum(v.n - 1 for v in parts))
-    up, dn, covers = list(base.up_bits), list(base.dn_bits), list(base.covers)
+    up, dn, lower = list(base.up_bits), list(base.dn_bits), list(base.lower)
     t, nxt = base.top, base.n
     for v in parts:
         b, new = v.bottom, ((1 << v.n - 1) - 1) << nxt
@@ -237,9 +241,11 @@ def glued_sum(base, *parts):
         rows = [(m & ~(-1 << b)) << nxt | (m >> b + 1) << (nxt + b) for m in v.up_bits + v.dn_bits]
         up = [u | new for u in up] + [r for x, r in enumerate(rows[:v.n]) if x != b]
         dn += [(1 << nxt) - 1 | r for x, r in enumerate(rows[v.n:]) if x != b]
-        covers += [(label[x], label[y]) for x, y in v.covers]
+        # label increases off b, and an element covering b covers nothing
+        # else, so each relabelled list stays ascending
+        lower += [tuple([label[a] for a in cov]) for x, cov in enumerate(v.lower) if x != b]
         t, nxt = label[v.top], nxt + v.n - 1
-    return _from_rows(n, sorted(covers), up, dn)
+    return _from_rows(n, up, dn, lower)
 
 
 def dual(lat):
@@ -254,24 +260,11 @@ def is_chain(lat):
 
 
 def count_two_element_antichains(lat):
-    """The number of incomparable pairs of L."""
-    return _antichain_pairs(lat.n, lat.up_bits, lat.dn_bits)
-
-
-def _antichain_pairs(n, up, dn):
-    """Incomparable pairs: each element's row of elements comparable to
-    it is up | dn, so every pair is missed by both of its rows."""
-    full = (1 << n) - 1
-    return sum((full & ~(u | d)).bit_count() for u, d in zip(up, dn)) // 2
-
-
-def _rows(lat):
-    """(n, up rows, down rows, lower-cover lists): the lattice as the row
-    functions take it, the form the generator holds each child in."""
-    lower = [[] for _ in range(lat.n)]
-    for a, b in lat.covers:
-        lower[b].append(a)
-    return lat.n, lat.up_bits, lat.dn_bits, lower
+    """The number of incomparable pairs of L: each element's row of
+    elements comparable to it is up | dn, so every pair is missed by both
+    of its rows."""
+    full = (1 << lat.n) - 1
+    return sum((full & ~(u | d)).bit_count() for u, d in zip(lat.up_bits, lat.dn_bits)) // 2
 
 
 def _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov):
@@ -391,7 +384,7 @@ def canonical_form(lat):
     """Permutation-invariant byte string, injective up to isomorphism."""
     if lat.n > ISO_BUDGET:
         raise BudgetExceeded(f"canonical_form limited to n <= {ISO_BUDGET}")
-    return canonical_order_matrix(*_rows(lat))[0]
+    return canonical_order_matrix(lat.n, lat.up_bits, lat.dn_bits, lat.lower)[0]
 
 
 def are_isomorphic(l1, l2):

@@ -187,6 +187,23 @@ def test_lattice_budget_exit(tmp_path, capsys):
         assert err.startswith("budget-exceeded: lattices")
 
 
+def test_glued_size_is_refused_before_any_part_is_built(capsys, monkeypatch):
+    def built(n):
+        raise AssertionError(f"chain {n} built past the budget")
+
+    monkeypatch.setattr(lt, "chain", built)
+    code, out, err = run(capsys, ["energy", "--builder", "glue:" + ",".join(["chain:256"] * 400)])
+    assert code == cli.EXIT_BUDGET and out == ""
+    assert err.startswith("budget-exceeded: lattices")
+    # a malformed part is still an input error, wherever it stands
+    code, _, err = run(capsys, ["energy", "--builder", "glue:" + "chain:256," * 400 + "cube:3"])
+    assert code == cli.EXIT_INPUT and err.startswith("input-error:")
+    monkeypatch.undo()
+    code, out, err = run(capsys, ["energy", "--builder", "glue:chain:200,chain:200"])
+    assert code == cli.EXIT_BUDGET and out == ""
+    assert err.startswith("budget-exceeded: lattices")
+
+
 @pytest.mark.parametrize(
     "verb,size",
     [("table", cli.TABLE_BUDGET), ("verify", cli.AUX_BUDGET)],
@@ -401,19 +418,23 @@ lattice_docs = (
 )
 # four of the 27 arrays are congruences of chain 3
 rep_arrays = st.lists(st.integers(0, 2), min_size=3, max_size=3).map(json.dumps)
+# k nested lists, k in [1, 200 000] on a log scale, so that most are past
+# the JSON parser's recursion limit and some far past it
+depths = st.integers(0, 17).flatmap(lambda e: st.integers(1 << e, min(2 << e, 200_000)))
+deep_nestings = depths.map(lambda k: "[" * k + "]" * k)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(lattice_docs)
-def test_fuzz_energy_json_file(doc):
+@given(lattice_docs.map(json.dumps) | deep_nestings)
+def test_fuzz_energy_json_file(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "lattice.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
         assert quiet_main(["energy", str(path)]) in (cli.EXIT_OK, cli.EXIT_INPUT)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.text(max_size=12) | json_docs.map(json.dumps) | rep_arrays)
+@given(st.text(max_size=12) | json_docs.map(json.dumps) | rep_arrays | deep_nestings)
 def test_fuzz_quotient_by(by):
     assert quiet_main(["quotient", "--builder", "chain:3", f"--by={by}"]) in (
         cli.EXIT_OK,

@@ -139,7 +139,7 @@ def extreme_maximal_chain(lat, prefer_high):
     out = []
     z = lat.bottom
     while z != lat.top:
-        steps = lat.upper_covers(z)
+        steps = [b for a, b in lat.covers if a == z]
         nxt = max(steps) if prefer_high else min(steps)
         out.append((z, nxt))
         z = nxt
@@ -215,7 +215,7 @@ def test_cover_labels_are_principal_congruences():
     # label t stands for one cover congruence con(y, x), a different one
     # for each t, and below[t] is its order among them
     for lat in count_route_lattices():
-        below, rows = cg._label_rows(*lt._rows(lat))
+        below, rows = cg._label_rows(lat)
         labels = {(y, x): t for y, x, t in rows}
         named = {}
         for (y, x), t in labels.items():

@@ -222,7 +222,7 @@ def test_two_twin_classes_in_one_invariant_class_give_the_least_code():
     # atoms 1..4, 5 above 1 and 4, 6 above 2 and 3: two twin classes in
     # one invariant class, and an automorphism that swaps them
     lat = lt.from_covers(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (4, 5), (2, 6), (3, 6), (5, 7), (6, 7)])
-    got, twins = lt.canonical_order_matrix(*lt._rows(lat))
+    got, twins = lt.canonical_order_matrix(lat.n, lat.up_bits, lat.dn_bits, lat.lower)
     assert got == predicate_canonical_order_matrix(lat.n, lat.leq)
     assert twins == ((1, 4), (2, 3))
 
@@ -249,7 +249,7 @@ def test_diamonds_try_one_order_per_twin_class():
     for k in range(3, lt.ISO_BUDGET - 1):
         n = k + 2
         lat = lt.from_covers(n, [(0, a) for a in range(1, k + 1)] + [(a, n - 1) for a in range(1, k + 1)])
-        _, twins = lt.canonical_order_matrix(*lt._rows(lat))
+        _, twins = lt.canonical_order_matrix(lat.n, lat.up_bits, lat.dn_bits, lat.lower)
         assert twins == (tuple(range(1, k + 1)),)
         assert list(lt._twin_sorted_orders([list(twins[0])])) == [twins[0]]
         perm = list(range(n))
@@ -316,12 +316,15 @@ def test_bounded_brute_walk_matches_the_unbounded_walk(monkeypatch):
 
 
 def test_every_output_really_is_a_lattice_of_size_n():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for lat in em.all_lattices(n):
             assert lat.n == n
             # reconstruct from covers; from_covers re-runs all validation
             again = lt.from_covers(lat.n, list(lat.covers))
             assert again.covers == lat.covers
+            # labelled as generated: along a linear extension
+            assert all(a < b for a, b in lat.covers)
+            assert lat.bottom == 0 and lat.top == n - 1
 
 
 def test_outputs_pairwise_nonisomorphic_and_sorted():

@@ -316,8 +316,9 @@ def test_json_round_trip():
 
 
 def test_trusted_builders_match_the_validated_build():
-    # chain, named, glued_sum and quotient build their rows with no check;
-    # from_covers rebuilds each from its covers and checks everything
+    # chain, named, glued_sum, quotient and the generator build their rows
+    # and lower-cover lists with no check; from_covers rebuilds each from
+    # its covers and checks everything, and equality compares every list
     def same(lat):
         assert lat == lt.from_covers(lat.n, list(lat.covers))
 
@@ -330,7 +331,7 @@ def test_trusted_builders_match_the_validated_build():
     pool += [lt.dual(lt.named("N5")), relabel(lt.named("N5"), [3, 0, 1, 2, 4])]  # bottom not 0
     for _ in range(300):
         same(lt.glued_sum(*rng.choices(pool, k=rng.randint(2, 4))))
-    for n in range(1, 7):
+    for n in range(1, 8):
         for lat in em.all_lattices(n):
             same(lat)
             for theta in cg.all_congruences(lat).members:
