@@ -246,9 +246,16 @@ def _inclusion_order(masks):
     """The distinct bitmasks sorted by size, a linear extension of
     inclusion, and below[t]: the bitmask of the s whose mask lies strictly
     inside mask t."""
-    masks = sorted(set(masks), key=lambda c: (c.bit_count(), c))
-    below = tuple(sum(1 << s for s in range(t) if masks[s] & ~c == 0) for t, c in enumerate(masks))
-    return masks, below
+    masks = sorted(set(masks))
+    masks.sort(key=int.bit_count)
+    below = []
+    for t, c in enumerate(masks):
+        b = 0
+        for s in range(t):
+            if not masks[s] & ~c:
+                b |= 1 << s
+        below.append(b)
+    return masks, tuple(below)
 
 
 def _down_set_steps(below):
@@ -317,19 +324,28 @@ def _label_rows(lat):
     join_of = {u: z for z, u in enumerate(up)}
     jis = [j for j in range(n) if len(lower[j]) == 1]
     jmask = sum(1 << j for j in jis)
+    full = (1 << n) - 1
     reach = [0] * n  # reach[q]: the p with p D q (q itself by x = 0), closed
     for q in jis:
-        up_q, up_star = up[q], up[lower[q][0]]
-        m = 0
-        for u in up:
+        up_q, q_star = up[q], lower[q][0]
+        up_star = up[q_star]
+        # x >= q adds nothing, and every x < q is <= q_*, where q v x = q
+        # and q_* v x = q_*: only the x incomparable to q are left
+        m = dn[q] & ~dn[q_star]
+        for x in lt._bits(full & ~(up_q | dn[q])):
+            u = up[x]
             m |= dn[join_of[up_q & u]] & ~dn[join_of[up_star & u]]
         reach[q] = m & jmask
-    lt._transitive_closure(reach)  # rows outside J are 0
-    classes, below = _inclusion_order(reach[j] for j in jis)
+    lt._transitive_closure(reach, jis)  # rows outside J are 0
+    classes, below = _inclusion_order([reach[j] for j in jis])
     index = {c: t for t, c in enumerate(classes)}
-    ranked = [(j, index[reach[j]]) for _, j in sorted((dn[j].bit_count(), j) for j in jis)]
+    label = {j: index[reach[j]] for j in jis}
+    ranked = [(j, label[j]) for j in sorted(jis, key=lambda j: dn[j].bit_count())]
     labels = []
     for x, ys in enumerate(lower):
+        if len(ys) == 1:  # x in J: every element below x is below ys[0]
+            labels.append((ys[0], x, label[x]))
+            continue
         for y in ys:
             cand = dn[x] & ~dn[y]
             for j, t in ranked:
@@ -340,26 +356,28 @@ def _label_rows(lat):
 
 
 def congruence_energies(lat):
-    """The energy of every member of Con(L), in down-set order, without
-    building Con(L).  Sum and length give CE(L) and |Con(L)|.  Raises
-    BudgetExceeded as soon as Con has more than CON_BUDGET members.
+    """The energy of every member of Con(L), in the order its down-set is
+    grown, without building Con(L).  Sum and length give CE(L) and
+    |Con(L)|.  Raises BudgetExceeded once Con has more than CON_BUDGET
+    members, checked as each member of J is added.
 
     The member of down-set D of J has energy 2 #{x : D meets S_x}, S_x the
     labels of x's lower covers (see the module docstring).  With hit[t] the
     bitmask of the x whose S_x holds t, the x counted for D are the union
     of hit[t] over t in D: one OR onto the union of D minus its top label,
-    and one popcount, per member."""
+    and one popcount, per member.  The down-sets are grown one member t of
+    J at a time: those of J's first t + 1 members are those of its first
+    t, and each of them that holds below[t] with t added."""
     below, labels = _label_rows(lat)
     hit = [0] * len(below)
     for _, x, t in labels:
         hit[t] |= 1 << x
-    reached = [0]
-    energies = [0]
-    for i, t, _ in _down_set_steps(below):
-        reached.append(reached[i] | hit[t])
-        energies.append(2 * reached[-1].bit_count())
-        _budget_check(energies)
-    return energies
+    members = [(0, 0)]  # (down-set, union of hit over it)
+    for t, (b, h) in enumerate(zip(below, hit)):
+        bit = 1 << t
+        members += [(d | bit, r | h) for d, r in members if not b & ~d]
+        _budget_check(members)
+    return [2 * r.bit_count() for _, r in members]
 
 
 def brute_force_congruences(lat):

@@ -25,32 +25,49 @@ is the order matrix in the canonical labelling, so the covers of that
 labelling follow from it alone: ``covers_from_key`` decodes them when they
 are asked for.
 
+From order 9 on, the last level, which holds most of the work, is shared
+among the CPUs this process may run on, at most 8.  Its parents are cut
+into contiguous slices; this process runs the first, a forked worker runs
+each other one, and the slices merge in order, keeping for each class the
+child met first.  So the output is byte-identical on any number of CPUs,
+and with one CPU, or without ``os.fork``, nothing is forked.
+
 An independent labeled-poset oracle (enumerate all naturally labeled
 posets, filter the lattice property) guards completeness at small sizes.
 """
+
+import marshal
+import os
+import sys
 
 from . import congruence as cg
 from . import counting as ct
 from . import lattice as lt
 from .errors import BudgetExceeded, DomainError
 
-# `enumerate --n 11` (37 622 classes) takes about 9.5-13 s at 62 MB peak
-# on a 2-vCPU host with Python 3.11; order 12 took 83 s at 254 MB.
+# `enumerate --n 11` (37 622 classes) takes 4.3-6.6 s on a 2-vCPU host with
+# Python 3.11, 7.1-7.8 s on one of its CPUs, at 68-69 MB peak RSS and 29 MB
+# in the forked worker; `--n 10` takes 0.8-1.0 s (1.1-1.4 s on one CPU) at
+# 26 MB.  Order 12 took 43 s on two CPUs at 301 MB, 122 MB in the worker.
 ENUMERATION_BUDGET = 11
+
+# The last level runs in forked workers from this order on, where it has
+# 222 parents.  Forking pays from order 8 (0.76x `extremal_report(8)` on
+# two CPUs, against 1.06x at order 7), but the oracle tests, which record
+# every labelling in this process, run to order 8.
+_FORK_FROM = 9
 
 
 def _down_closed_subsets(dn, k):
     """All nonempty order ideals of the k-element prefix, ascending.  The
-    prefix is numbered along a linear extension, so its down-sets grow as
-    in ``congruence._down_set_steps``."""
-    below = [dn[j] & ~(1 << j) for j in range(k)]
-    return sorted(mask for _, _, mask in cg._down_set_steps(below))
-
-
-def _has_greatest(dn, subset):
-    """Whether the nonempty subset has a greatest element.  The prefix is
-    numbered along a linear extension, so only its highest index can be."""
-    return subset & ~dn[subset.bit_length() - 1] == 0
+    prefix is numbered along a linear extension, so the ideals of its
+    first t + 1 elements are those of its first t, and each of them that
+    holds every element below t with t added."""
+    downs = [0]
+    for t in range(k):
+        below, bit = dn[t] ^ 1 << t, 1 << t
+        downs += [d | bit for d in downs if not below & ~d]
+    return sorted(downs[1:])
 
 
 def _lattice_from_dn(dn):
@@ -61,7 +78,8 @@ def all_lattices(n):
     """All n-element lattices, one representative per isomorphism class,
     in canonical-form order, unchecked, each labelled as generated: along a
     linear extension, so every cover a < b, with bottom 0 and top n - 1."""
-    return [lat for _, lat in sorted(_keyed_lattices(n, lambda key, lat: lat).items())]
+    rows = _keyed_lattices(n, lambda key, lat: (lat.n, lat.up_bits, lat.dn_bits, lat.lower))
+    return [lt._from_rows(*r) for _, r in sorted(rows.items())]
 
 
 def covers_from_key(key):
@@ -75,11 +93,14 @@ def covers_from_key(key):
 
 def _keyed_lattices(n, fold):
     """{canonical form: fold(key, lat)} over the iso classes of order n,
-    fold called once per class, on the first child in that class as a
-    Lattice, in the child's own labelling.
+    the value of each class that of the first child in it, as a Lattice in
+    the child's own labelling, in the order of the sequential loop.  fold
+    runs at most once per class in each worker process, and a worker's
+    results come back by marshal: they must be plain data (None, bools,
+    numbers, strings, bytes, and tuples, lists and dicts of them).
 
     The children are lattices with no further test: each is a meet
-    semilattice, as ``_has_greatest`` checks, with a top appended, and a
+    semilattice, as the meet test checks, with a top appended, and a
     finite meet semilattice with a top is a lattice.  A prefix is a meet
     semilattice P on 0..k-1 with its down rows, up rows, lower-cover lists
     and the twin classes that its canonical labelling returned; a child
@@ -116,40 +137,142 @@ def _keyed_lattices(n, fold):
         key = lt.canonical_form(lat)
         return {key: fold(key, lat)}
     level = [([1], [1], [()], ())]  # (dn, up, lower-cover tuples, twin classes)
-    for k in range(1, n - 1):
-        last = k == n - 2
-        new = 1 << k
-        nxt = {}
-        for dn, up, lower, twins in level:
-            maximal = [y for y in range(k) if up[y] == 1 << y]
-            rivals = [((dn[y].bit_count(), len(lower[y])), y) for y in maximal]
-            # consecutive twins lo < hi: a twin-normal mask holding hi holds lo
-            steps = [(1 << a, 1 << b) for c in twins for a, b in zip(c, c[1:])]
-            for mask in _down_closed_subsets(dn, k):
-                if any(mask & hi and not mask & lo for lo, hi in steps):
-                    continue
-                x_lower = tuple([a for a in lt._bits(mask) if up[a] & mask == 1 << a])
-                x_inv = (mask.bit_count() + 1, len(x_lower))
-                if any(inv > x_inv for inv, y in rivals if not mask >> y & 1):
-                    continue
-                # j in the mask is the greatest element of mask & dn[j] = dn[j]
-                if not all(_has_greatest(dn, mask & dn[j]) for j in lt._bits(~mask & new - 1)):
-                    continue
-                dn2 = dn + [mask | new]
-                up2 = [u | new if mask >> a & 1 else u for a, u in enumerate(up)] + [new]
-                lower2 = lower + [x_lower]
-                if last:  # append the top: the key is the lattice's canonical form
-                    top = 1 << (n - 1)
-                    dn2.append(2 * top - 1)
-                    up2 = [u | top for u in up2] + [top]
-                    lower2.append(tuple([y for y in maximal if not mask >> y & 1] + [k]))
-                key, twins2 = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
-                if key not in nxt:
-                    if last:
-                        nxt[key] = fold(key, lt._from_rows(n, up2, dn2, lower2))
-                    else:
-                        nxt[key] = (dn2, up2, lower2, twins2)
-        level = list(nxt.values())
+    for k in range(1, n - 2):
+        level = list(_children(level, k, n, fold).values())
+    workers = _workers() if n >= _FORK_FROM else 1
+    if workers == 1:
+        return _children(level, n - 2, n, fold)
+    return _forked_children(level, n, fold, workers)
+
+
+def _workers():
+    """The processes that share the last level: the CPUs this process may
+    run on, at most 8; one where os.fork or os.sched_getaffinity is
+    missing, or while another thread runs, since a lock that thread holds
+    at the fork would stay held in the worker."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), 8)
+
+
+def _forked_children(level, n, fold, workers):
+    """``_children`` of the last level, its parents cut into contiguous
+    slices, one per worker.  This process runs slice 0, and a forked child
+    runs each other slice and sends its dict, or its exception, through a
+    pipe.  The slices merge in order, each key kept from the first slice
+    that has it, so the dict, its order and its values are the sequential
+    loop's.  A child that fails in any way, by an exception, a signal, a
+    non-zero status or an empty pipe, fails the call, since a partial merge
+    would be an incomplete report; every child is reaped on every exit
+    path.
+
+    The dicts travel by marshal, which is built in.  Importing pickle
+    instead, where no bytecode is cached, raised the peak RSS of an
+    order-9 run by 1.7 MB; only an exception, which marshal cannot carry,
+    is pickled."""
+    cuts = [len(level) * i // workers for i in range(workers + 1)]
+    procs = []  # [pid, None until forked and once reaped; read end of its pipe]
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            read, write = os.pipe()
+            procs.append([None, open(read, "rb")])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(write, level[lo:hi], n, fold)
+            finally:
+                os.close(write)
+            procs[-1][0] = pid
+        found = _children(level[:cuts[1]], n - 2, n, fold)
+        for proc in procs:
+            pid, pipe = proc
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            proc[0] = None
+            if status or not data:
+                how = f"signal {-status}" if status < 0 else f"status {status}"
+                raise RuntimeError(f"enumeration worker {pid} ended with {how}, sending {len(data)} bytes")
+            ok, part = marshal.loads(data)
+            if not ok:
+                import pickle
+
+                raise pickle.loads(part)
+            for key, value in part.items():
+                found.setdefault(key, value)
+        return found
+    finally:
+        for pid, pipe in procs:
+            pipe.close()
+            if pid is not None:
+                from signal import SIGKILL
+
+                try:
+                    os.kill(pid, SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+
+
+def _child(w, parents, n, fold):
+    """In a forked child: write (True, dict) of the slice, marshalled, or
+    (False, its exception pickled) to the pipe w, and leave by os._exit, so
+    that none of the parent's clean-up or buffered output runs twice.
+    Exits 1 when even the exception does not pickle."""
+    status = 1
+    try:
+        try:
+            data = marshal.dumps((True, _children(parents, n - 2, n, fold)))
+        except BaseException as exc:
+            import pickle
+
+            data = marshal.dumps((False, pickle.dumps(exc)))
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _children(level, k, n, fold):
+    """{canonical form: child} over the kept children of the prefixes in
+    level, each of k elements, in the order the sequential loop meets them;
+    at the last level, k = n - 2, {canonical form: fold(key, lat)}."""
+    last = k == n - 2
+    new = 1 << k
+    nxt = {}
+    for dn, up, lower, twins in level:
+        maximal = [y for y in range(k) if up[y] == 1 << y]
+        rivals = [((dn[y].bit_count(), len(lower[y])), y) for y in maximal]
+        # consecutive twins lo < hi: a twin-normal mask holding hi holds lo
+        steps = [(1 << a, 1 << b) for c in twins for a, b in zip(c, c[1:])]
+        meets = set(dn)  # a down-set of P with a greatest element z is dn[z]
+        for mask in _down_closed_subsets(dn, k):
+            if any(mask & hi and not mask & lo for lo, hi in steps):
+                continue
+            x_lower = tuple([a for a in lt._bits(mask) if up[a] & mask == 1 << a])
+            x_inv = (mask.bit_count() + 1, len(x_lower))
+            if any(inv > x_inv for inv, y in rivals if not mask >> y & 1):
+                continue
+            # the meet of x and j is the greatest element of mask & dn[j]
+            if not {mask & d for d in dn} <= meets:
+                continue
+            dn2 = dn + [mask | new]
+            up2 = [u | new if mask >> a & 1 else u for a, u in enumerate(up)] + [new]
+            lower2 = lower + [x_lower]
+            if last:  # append the top: the key is the lattice's canonical form
+                top = 1 << (n - 1)
+                dn2.append(2 * top - 1)
+                up2 = [u | top for u in up2] + [top]
+                lower2.append(tuple([y for y in maximal if not mask >> y & 1] + [k]))
+            key, twins2 = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
+            if key not in nxt:
+                if last:
+                    nxt[key] = fold(key, lt._from_rows(n, up2, dn2, lower2))
+                else:
+                    nxt[key] = (dn2, up2, lower2, twins2)
     return nxt
 
 

@@ -122,13 +122,17 @@ def _bits(mask):
     return out
 
 
-def _transitive_closure(rows):
+def _transitive_closure(rows, over=None):
     """Warshall's pass over bit rows, in place: afterwards row i holds
     every j reachable from i along the relation whose row i had bit j set.
+    With ``over``, the pass runs over those indices only; that is the full
+    pass when the other rows are 0 and no row has a bit outside ``over``.
     Returns rows."""
-    for k in range(len(rows)):
+    over = range(len(rows)) if over is None else over
+    for k in over:
         bit, row_k = 1 << k, rows[k]
-        for i, row in enumerate(rows):
+        for i in over:
+            row = rows[i]
             if row & bit:
                 rows[i] = row | row_k
     return rows
@@ -267,22 +271,43 @@ def count_two_element_antichains(lat):
     return sum((full & ~(u | d)).bit_count() for u, d in zip(lat.up_bits, lat.dn_bits)) // 2
 
 
-def _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov):
+def _refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov, twin_classes):
     """Label-independent invariant per element, refined a la
-    Weisfeiler-Leman over the cover graph until stable.  A discrete
-    partition is already stable, so it is returned at once."""
-    raw = [(dn_sz[a], up_sz[a], len(dn_cov[a]), len(up_cov[a])) for a in range(n)]
+    Weisfeiler-Leman over the cover graph until stable (McKay and Piperno,
+    "Practical graph isomorphism II", 2014), as dense ranks.  Twins, being
+    swapped by an automorphism, are never split, so a partition with as
+    many classes as there are twin classes (``twin_classes``, counting
+    single elements) is already stable and is returned at once.
+
+    Round 0 ranks (|down-set|, |up-set|, #lower covers, #upper covers),
+    packed into one int, w = n.bit_length() bits a field.  Each later round
+    ranks (rank, sorted ranks of the lower covers, sorted ranks of the
+    upper covers), also packed into one int: a list of ranks r_i packs as
+    M - sum B^(n-1-r_i), with B = 2^w and M = B^n - 1.  Two elements of
+    one rank have cover lists of equal lengths, and no rank occurs n times
+    in one list, so on such lists lexicographic order of the sorted ranks
+    is the reverse of the order of the sums.  The ranks are therefore
+    those of the tuples themselves."""
+    w = n.bit_length()
+    raw = [
+        ((d << w | u) << w | len(dc)) << w | len(uc)
+        for d, u, dc, uc in zip(dn_sz, up_sz, dn_cov, up_cov)
+    ]
     ranks = {t: i for i, t in enumerate(sorted(set(raw)))}
     inv = [ranks[t] for t in raw]
-    if len(ranks) == n:
-        return inv
+    s = w * n
+    full = (1 << s) - 1
     for _ in range(n):
+        if len(ranks) == twin_classes:
+            break
+        get = [1 << w * (n - 1 - r) for r in inv].__getitem__
         raw = [
-            (inv[a], tuple(sorted([inv[b] for b in dc])), tuple(sorted([inv[b] for b in uc])))
-            for a, dc, uc in zip(range(n), dn_cov, up_cov)
+            (r << s | full ^ sum(map(get, dc))) << s | full ^ sum(map(get, uc))
+            for r, dc, uc in zip(inv, dn_cov, up_cov)
         ]
+        classes = len(ranks)
         ranks = {t: i for i, t in enumerate(sorted(set(raw)))}
-        if len(ranks) == len(set(inv)):
+        if len(ranks) == classes:
             break  # no class split, so the ranks are inv's own
         inv = [ranks[t] for t in raw]
     return inv
@@ -311,11 +336,13 @@ def canonical_order_matrix(n, up, dn, lower):
 
     A relabelling sigma lists the elements by new label; its code is the
     n*n-bit matrix whose bit (i, j), most significant first, is
-    sigma[i] <= sigma[j].  Row i of a candidate is built by summing, over
-    the elements above sigma[i], the weight 2^(n-1-j) of their new label j.
-    Rows have n bits each, so comparing the row lists lexicographically
-    compares the codes, and the code is their minimum, whatever the order
-    in which the candidates come.
+    sigma[i] <= sigma[j].  Rows have n bits each, so comparing the row
+    lists lexicographically compares the codes, and the code is their
+    minimum, whatever the order in which the candidates come.  Every
+    candidate is a linear extension, since a < b gives a the smaller
+    down-set and so the smaller invariant, and elements of one class are
+    incomparable.  So its rows are built from the top down: the row of x
+    is its own bit OR the rows of its upper covers, one OR per cover.
 
     Twins are elements with the same strict down-set and strict up-set,
     like the atoms of M_k; swapping two twins is an automorphism, so twins
@@ -326,45 +353,53 @@ def canonical_order_matrix(n, up, dn, lower):
     full search's.
 
     Returns (code, twins), twins the twin classes of two or more elements,
-    each ascending.
+    each ascending.  When every class is one element or one twin class,
+    there is one candidate, the classes in rank order, and no search.
     """
-    above = [[b for b in range(n) if row >> b & 1] for row in up]
     upper = [[] for _ in range(n)]
     for b, cov in enumerate(lower):
         for a in cov:
             upper[a].append(b)
-    up_sz = [len(elems) for elems in above]
-    dn_sz = [m.bit_count() for m in dn]
-    inv = _refined_invariants(n, up_sz, dn_sz, upper, lower)
-    classes = {}
-    for a in range(n):
-        classes.setdefault(inv[a], []).append(a)
+    twin_key = [(d ^ 1 << a, u ^ 1 << a) for a, (d, u) in enumerate(zip(dn, up))]
+    twin_classes = len(set(twin_key))
+    inv = _refined_invariants(
+        n, [u.bit_count() for u in up], [d.bit_count() for d in dn], upper, lower, twin_classes
+    )
+    groups = [[] for _ in range(max(inv) + 1)]
+    for a, r in enumerate(inv):
+        groups[r].append(a)
+    # each class a union of twin classes; as many classes as twin classes:
+    # each class is one twin class, and there is one candidate
+    several = len(groups) < twin_classes
     orders, twins = [], []
-    for k in sorted(classes):
-        g = classes[k]
+    for g in groups:
         if len(g) > 1:
+            if not several:
+                twins.append(tuple(g))
+                continue
             twin_of = {}
             for a in g:
-                twin_of.setdefault((dn[a] ^ 1 << a, up[a] ^ 1 << a), []).append(a)
-            if len(twin_of) < len(g):
-                cs = list(twin_of.values())
-                twins += [tuple(c) for c in cs if len(c) > 1]
-                orders.append(_twin_sorted_orders(cs))
+                twin_of.setdefault(twin_key[a], []).append(a)
+            cs = list(twin_of.values())
+            twins += [tuple(c) for c in cs if len(c) > 1]
+            if len(cs) > 1:
+                orders.append(_twin_sorted_orders(cs) if len(cs) < len(g) else itertools.permutations(g))
                 continue
-        orders.append(itertools.permutations(g))
-    weight = [0] * n
-    powers = [1 << (n - 1 - j) for j in range(n)]
-    get = weight.__getitem__
+        orders.append((g,))
+    row = [0] * n
+    powers = [1 << j for j in range(n)]
 
     def rows(parts):
         sigma = [x for part in parts for x in part]
-        for x, w in zip(sigma, powers):
-            weight[x] = w
-        return [sum(map(get, above[si])) for si in sigma]
+        for x, w in zip(reversed(sigma), powers):
+            for b in upper[x]:
+                w |= row[b]
+            row[x] = w
+        return [row[x] for x in sigma]
 
     code = 0
-    for row in min(map(rows, itertools.product(*orders))):
-        code = code << n | row
+    for r in min(map(rows, itertools.product(*orders))) if several else rows(groups):
+        code = code << n | r
     return bytes([n]) + code.to_bytes((n * n + 7) // 8, "big"), tuple(twins)
 
 

@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 
+from conergy import cli
 from conergy import congruence as cg
 from conergy import counting as ct
 from conergy import energy as en
@@ -106,6 +111,12 @@ def rows_of(up):
     return dn, lower
 
 
+def has_greatest(dn, subset):
+    """Whether the nonempty subset of a prefix numbered along a linear
+    extension has a greatest element: only its highest index can be."""
+    return subset & ~dn[subset.bit_length() - 1] == 0
+
+
 def unpruned_keys(n):
     """Oracle: the generator with neither the automorphism nor the
     deletion test.  Every valid mask of every kept prefix gets a canonical
@@ -119,7 +130,7 @@ def unpruned_keys(n):
         for up in level.values():
             dn, _ = rows_of(up)
             for mask in em._down_closed_subsets(dn, k):
-                if not all(em._has_greatest(dn, mask & dn[j]) for j in range(k)):
+                if not all(has_greatest(dn, mask & dn[j]) for j in range(k)):
                     continue
                 up2 = [u | 1 << k if mask >> a & 1 else u for a, u in enumerate(up)]
                 up2.append(1 << k)
@@ -229,7 +240,9 @@ def test_two_twin_classes_in_one_invariant_class_give_the_least_code():
 
 def test_generator_labelling_counts(monkeypatch):
     # the canonical labellings the two pruning tests leave: a test that
-    # stops pruning moves these counts
+    # stops pruning moves these counts.  The orders stay below
+    # em._FORK_FROM, since labellings made in a forked worker are not
+    # counted in this process
     fast = lt.canonical_order_matrix
     sizes = []
 
@@ -238,6 +251,7 @@ def test_generator_labelling_counts(monkeypatch):
         return fast(n, up, dn, lower)
 
     monkeypatch.setattr(lt, "canonical_order_matrix", counted)
+    assert 8 < em._FORK_FROM
     for n, want in {6: 23, 7: 80, 8: 318}.items():
         sizes.clear()
         em._keyed_lattices(n, lambda *rows: None)
@@ -530,3 +544,181 @@ def test_down_closed_subsets_match_the_subset_scan(monkeypatch):
     assert prefixes
     for dn, k in prefixes:
         assert grow(dn, k) == scanned_down_sets(dn, k)
+
+
+def tuple_refined_invariants(n, up_sz, dn_sz, up_cov, dn_cov):
+    """Oracle: the refinement on tuples, as ``_refined_invariants`` was
+    before its rounds were packed into ints."""
+    raw = [(dn_sz[a], up_sz[a], len(dn_cov[a]), len(up_cov[a])) for a in range(n)]
+    ranks = {t: i for i, t in enumerate(sorted(set(raw)))}
+    inv = [ranks[t] for t in raw]
+    if len(ranks) == n:
+        return inv
+    for _ in range(n):
+        raw = [
+            (inv[a], tuple(sorted([inv[b] for b in dc])), tuple(sorted([inv[b] for b in uc])))
+            for a, dc, uc in zip(range(n), dn_cov, up_cov)
+        ]
+        ranks = {t: i for i, t in enumerate(sorted(set(raw)))}
+        if len(ranks) == len(set(inv)):
+            break
+        inv = [ranks[t] for t in raw]
+    return inv
+
+
+def refinement_args(up):
+    """The arguments ``canonical_order_matrix`` passes to the refinement,
+    for the poset with up rows ``up``; the twin classes are counted from
+    the order predicate."""
+    n = len(up)
+    dn, lower = rows_of(up)
+    upper = [[b for b in range(n) if a in lower[b]] for a in range(n)]
+    twin_classes = n - sum(len(c) - 1 for c in brute_twin_classes(up))
+    return n, [u.bit_count() for u in up], [d.bit_count() for d in dn], upper, lower, twin_classes
+
+
+def random_poset(rng, n):
+    """The up rows of a random poset on n elements, randomly labelled: each
+    pair is related with a random density along a random linear order,
+    then closed."""
+    order = rng.sample(range(n), n)
+    p = rng.random()
+    up = [1 << a for a in range(n)]
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
+            if rng.random() < p:
+                up[a] |= 1 << b
+    return lt._transitive_closure(up)
+
+
+def test_packed_refinement_matches_the_tuple_refinement(monkeypatch):
+    # every labelling the generator asks for up to order 9, in one process
+    fast = lt._refined_invariants
+    calls = []
+
+    def checked(*args):
+        got = fast(*args)
+        assert got == tuple_refined_invariants(*args[:5])
+        calls.append(args[0])
+        return got
+
+    monkeypatch.setattr(lt, "_refined_invariants", checked)
+    monkeypatch.setattr(em, "_workers", lambda: 1)
+    for n in range(1, 10):
+        em._keyed_lattices(n, lambda key, lat: None)
+    assert set(calls) == set(range(1, 10))
+    # M_k has k atoms of one rank under its top: the most covers of one
+    # rank the generator meets, k <= 9
+    for k in range(1, 10):
+        lat = lt.from_covers(k + 2, [(0, a) for a in range(1, k + 1)] + [(a, k + 1) for a in range(1, k + 1)])
+        args = refinement_args(list(lat.up_bits))
+        assert fast(*args) == tuple_refined_invariants(*args[:5])
+    rng = random.Random(25)
+    for _ in range(300):
+        args = refinement_args(random_poset(rng, rng.randint(1, 11)))
+        assert fast(*args) == tuple_refined_invariants(*args[:5])
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set how many processes share the last level."""
+    return lambda count: monkeypatch.setattr(em, "_workers", lambda: count)
+
+
+def test_every_worker_count_gives_the_same_classes_in_the_same_order(workers, capsys):
+    # 2 and 3 workers cut the 222 parents of order 9 into unequal slices
+    assert em._FORK_FROM <= 9
+    items, lattices, texts = [], [], []
+    for count in (1, 2, 3):
+        workers(count)
+        items.append(list(em._keyed_lattices(9, em._record).items()))
+        lattices.append(em.all_lattices(9))
+        assert cli.main(["enumerate", "--n", "9"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert len(items[0]) == KNOWN_COUNTS[9]
+    assert items[0] == items[1] == items[2]
+    assert all(isinstance(lat, lt.Lattice) for lat in lattices[0])
+    assert lattices[0] == lattices[1] == lattices[2]
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_the_worker_count_is_the_allowed_cpus_and_one_beside_a_thread():
+    assert em._workers() == min(len(os.sched_getaffinity(0)), 8)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert em._workers() == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_fold(where, fold):
+    """fold, except that the first class it meets in a forked worker
+    (where="child"), or in this process (where="parent"), raises."""
+    parent = os.getpid()
+
+    def fails(key, lat):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise RuntimeError(f"fold failed in the {where}")
+        return fold(key, lat)
+
+    return fails
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_fold_fails_the_enumeration(workers, count, where):
+    workers(count)
+    with pytest.raises(RuntimeError, match=f"fold failed in the {where}"):
+        em._keyed_lattices(9, failing_fold(where, lambda key, lat: key))
+    assert_no_child_left()
+
+
+def test_a_failure_here_stops_a_worker_that_would_run_on(workers):
+    workers(2)
+    parent = os.getpid()
+
+    def fold(key, lat):
+        if os.getpid() != parent:
+            time.sleep(60)  # still busy when this process fails
+        raise RuntimeError("fold failed in the parent")
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="fold failed in the parent"):
+        em._keyed_lattices(9, fold)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_failing_worker_exits_4_not_as_a_verdict(workers, monkeypatch, capsys, count):
+    workers(count)
+    monkeypatch.setattr(em, "_record", failing_fold("child", em._record))
+    assert cli.main(["enumerate", "--n", "9"]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal-error: RuntimeError: fold failed in the child" in captured.err
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_killed_worker_fails_the_enumeration(workers, count):
+    workers(count)
+    parent = os.getpid()
+
+    def fold(key, lat):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return key
+
+    with pytest.raises(RuntimeError, match="signal 9"):
+        em._keyed_lattices(9, fold)
+    assert_no_child_left()

@@ -213,6 +213,14 @@ def test_bit_kernels_match_plain_scans():
             want.append(sum(1 << j for j in seen))
         assert lt._transitive_closure(rows) is rows
         assert rows == want
+        # the same relation spread over the indices in ``over``, the rest 0
+        spread = sorted(rng.sample(range(2 * n), n))
+        rows = [0] * (2 * n)
+        for i, out in enumerate(adj):
+            rows[spread[i]] = sum(1 << spread[j] for j in out)
+        assert lt._transitive_closure(rows, spread) is rows
+        assert [rows[s] for s in spread] == [sum(1 << spread[j] for j in lt._bits(w)) for w in want]
+        assert all(rows[i] == 0 for i in range(2 * n) if i not in spread)
 
 
 def test_glued_sum():
