@@ -216,11 +216,11 @@ def _forked_children(level, n, fold, workers):
                 os.waitpid(pid, 0)
 
 
-def _child(w, parents, n, fold):
+def _child(write, parents, n, fold):
     """In a forked child: write (True, dict) of the slice, marshalled, or
-    (False, its exception pickled) to the pipe w, and leave by os._exit, so
-    that none of the parent's clean-up or buffered output runs twice.
-    Exits 1 when even the exception does not pickle."""
+    (False, its exception pickled) to the pipe's write end, and leave by
+    os._exit, so that none of the parent's clean-up or buffered output
+    runs twice.  Exits 1 when even the exception does not pickle."""
     status = 1
     try:
         try:
@@ -229,7 +229,7 @@ def _child(w, parents, n, fold):
             import pickle
 
             data = marshal.dumps((False, pickle.dumps(exc)))
-        with open(w, "wb") as pipe:
+        with open(write, "wb") as pipe:
             pipe.write(data)
         status = 0
     finally:

@@ -368,24 +368,6 @@ def canonical_order_matrix(n, up, dn, lower):
     groups = [[] for _ in range(max(inv) + 1)]
     for a, r in enumerate(inv):
         groups[r].append(a)
-    # each class a union of twin classes; as many classes as twin classes:
-    # each class is one twin class, and there is one candidate
-    several = len(groups) < twin_classes
-    orders, twins = [], []
-    for g in groups:
-        if len(g) > 1:
-            if not several:
-                twins.append(tuple(g))
-                continue
-            twin_of = {}
-            for a in g:
-                twin_of.setdefault(twin_key[a], []).append(a)
-            cs = list(twin_of.values())
-            twins += [tuple(c) for c in cs if len(c) > 1]
-            if len(cs) > 1:
-                orders.append(_twin_sorted_orders(cs) if len(cs) < len(g) else itertools.permutations(g))
-                continue
-        orders.append((g,))
     row = [0] * n
     powers = [1 << j for j in range(n)]
 
@@ -397,8 +379,27 @@ def canonical_order_matrix(n, up, dn, lower):
             row[x] = w
         return [row[x] for x in sigma]
 
+    # every class is a union of twin classes
+    if len(groups) == twin_classes:  # each class one twin class: one candidate
+        twins = [tuple(g) for g in groups if len(g) > 1]
+        best = rows(groups)
+    else:
+        orders, twins = [], []
+        for g in groups:
+            twin_of = {}
+            for a in g:
+                twin_of.setdefault(twin_key[a], []).append(a)
+            cs = list(twin_of.values())
+            twins += [tuple(c) for c in cs if len(c) > 1]
+            if len(cs) == 1:
+                orders.append((g,))
+            elif len(cs) < len(g):
+                orders.append(_twin_sorted_orders(cs))
+            else:
+                orders.append(itertools.permutations(g))
+        best = min(map(rows, itertools.product(*orders)))
     code = 0
-    for r in min(map(rows, itertools.product(*orders))) if several else rows(groups):
+    for r in best:
         code = code << n | r
     return bytes([n]) + code.to_bytes((n * n + 7) // 8, "big"), tuple(twins)
 
