@@ -28,9 +28,10 @@ EXIT_INTERNAL = 4
 
 EQU_BOUND_TABLE = (0, 2, 10, 46, 218, 1088, 5752, 32226, 190990, 1194310)
 
-# Both grow about as n^3 with big integers.  On a 2-vCPU host with Python
-# 3.11, `table --max-n 200` takes 0.4 s and `verify --suite aux --n 100`
-# 0.3 s; `table --max-n 300` and `aux --n 200` take 1.2 s each.
+# Both grow faster than n^2 with big integers.  On a 2-vCPU host with
+# Python 3.11, in-process, `table --max-n 200` takes 0.3 s and `--max-n 300`
+# 1.1 s; `verify --suite aux --n 100` takes 0.015 s and `aux --n 200` 0.07 s
+# on integers (0.2 s and 0.9 s when it ran on Fractions).
 TABLE_BUDGET = 200
 AUX_BUDGET = 100
 

@@ -11,7 +11,8 @@ elements of L, with no partition and no join table: each join is one
 lookup among the up-sets.
 Since blocks are intervals, the member of down-set D is the equivalence
 generated by the covers whose label is in D, so ``all_congruences`` builds
-each member with one partition join and keeps its down-set mask beside it.
+each member's rep tuple with one union-find and keeps its down-set mask
+beside it.
 ``principal_congruence`` closes a pair under the translations x -> x v c
 and x -> x ^ c with ``partition.join_pairs``, the union-find that algebras
 run over their own translations; it is the oracle for the labels.
@@ -92,37 +93,42 @@ class CongruenceLattice:
         return [m for m, d in zip(self.members, self.down_sets) if d.bit_count() == 1]
 
 
-def _sorted_with(members, data):
-    """The members sorted by (heq, rep), and the data aligned with them, in
-    the same order."""
-    pairs = sorted(zip(members, data), key=lambda md: (pt.heq(md[0]), md[0].rep))
-    return tuple(m for m, _ in pairs), tuple(d for _, d in pairs)
+def _sorted_with(n, reps, data):
+    """The members with the given rep tuples sorted by (heq, rep), as
+    Partitions, and the data aligned with them, in the same order."""
+    ranked = sorted([(-len(set(r)), r, d) for r, d in zip(reps, data)])  # reps are distinct
+    return tuple([pt._of(n, r) for _, r, _ in ranked]), tuple([d for _, _, d in ranked])
 
 
 def is_congruence(lat, p):
     """Interval blocks + quadrilateral condition + its dual."""
     if p.n != lat.n:
         raise SizeMismatch(f"partition on {p.n} elements vs lattice on {lat.n}")
-    for block in p.blocks():
-        lo = hi = block[0]
-        for x in block[1:]:
-            lo = lat.meet(lo, x)
-            hi = lat.join(hi, x)
-        between = lat.up_bits[lo] & lat.dn_bits[hi]
-        if between.bit_count() != len(block):
+    up, dn, rep = lat.up_bits, lat.dn_bits, p.rep
+    # per block of two or more: its members, and the AND of their up rows
+    # and of their down rows, the up row of its join and the down row of
+    # its meet
+    blocks, ups, dns = {}, {}, {}
+    for x, r in enumerate(rep):
+        if r != x:
+            blocks[r] = blocks.get(r, 1 << r) | 1 << x
+            ups[r] = ups.get(r, up[r]) & up[x]
+            dns[r] = dns.get(r, dn[r]) & dn[x]
+    join_of, meet_of = lat._join_of, lat._meet_of
+    for r, block in blocks.items():
+        # the block lies in [meet, join], so it is that interval iff equal
+        if up[meet_of[dns[r]]] & dn[join_of[ups[r]]] != block:
             return False
-        # lo/hi in the block is implied when the popcounts match
-    upper = [[] for _ in range(lat.n)]
-    for x, ys in enumerate(lat.lower):
-        for y in ys:
-            upper[y].append(x)
     # x collapsed with a cover y of x collapses every other cover z of x on
     # the same side with y v z above x, with y ^ z below it
-    for covers, op in ((upper, lat.join), (lat.lower, lat.meet)):
+    for covers, rows, op_of in ((lat._upper, up, join_of), (lat.lower, dn, meet_of)):
         for x, ys in enumerate(covers):
+            rx = rep[x]
             for y in ys:
-                if p.same_block(x, y) and any(z != y and not p.same_block(z, op(y, z)) for z in ys):
-                    return False
+                if rep[y] == rx:
+                    row = rows[y]
+                    if any(z != y and rep[z] != rep[op_of[row & rows[z]]] for z in ys):
+                        return False
     return True
 
 
@@ -232,8 +238,7 @@ def join_closure(n, generators):
         sum(1 << t for t, j in enumerate(j_pairs) if j & ~pairs == 0)
         for pairs in members.values()
     ]
-    parts, downs = _sorted_with([pt.Partition(n, h) for h in members], downs)
-    return CongruenceLattice(n, parts, downs, below)
+    return CongruenceLattice(n, *_sorted_with(n, members, downs), below)
 
 
 def _rep_pairs(reps):
@@ -280,22 +285,21 @@ def all_congruences(lat):
     Con(L) is distributive (Funayama-Nakayama), so D -> join(D) is a
     bijection from the down-sets of J onto Con(L).  Blocks are intervals,
     so the member of D is generated by the covers whose label is in D, and
-    each member costs one partition join: the member of D minus its top
-    label t, joined with the covers labelled t.  Raises BudgetExceeded as
-    soon as Con has more than CON_BUDGET members.
+    each member costs one union-find: on the rep tuple of the member of D
+    minus its top label t, with the covers labelled t.  Raises
+    BudgetExceeded as soon as Con has more than CON_BUDGET members.
     """
     below, labels = _label_rows(lat)
     links = [[] for _ in below]
     for y, x, t in labels:
         links[t].append((y, x))
-    gens = [pt.join_pairs(lat.n, covers) for covers in links]
-    members = [pt.bottom(lat.n)]
+    reps = [tuple(range(lat.n))]
     masks = [0]
     for i, t, mask in _down_set_steps(below):
-        members.append(pt.join(members[i], gens[t]))
+        reps.append(pt.union_find(list(reps[i]), links[t]))
         masks.append(mask)
-        _budget_check(members)
-    return CongruenceLattice(lat.n, *_sorted_with(members, masks), below)
+        _budget_check(reps)
+    return CongruenceLattice(lat.n, *_sorted_with(lat.n, reps, masks), below)
 
 
 def _label_rows(lat):

@@ -3,8 +3,10 @@ pentagon-family value g_pn, Bell/Stirling/2-Bell numbers, the equivalence
 lattice energy ceiling, and the auxiliary difference functions evaluated at
 integer arguments.
 
-Everything here is exact: arbitrary-precision integers, and Fractions where
-a value is genuinely rational (g_pn(4) = 17/2, g_sb below 3).
+Everything here is exact: arbitrary-precision integers, and Fractions only
+where a value is rational (g_pn(4) = 17/2, g_sb below 3).  The auxiliary
+functions are integers built from g_sb(2) = 3/2, so they run on 8 g_sb,
+an integer, and divide by 8 at the end.
 """
 
 from fractions import Fraction
@@ -20,10 +22,6 @@ def g_max(n):
     return (n - 1) * 2 ** (n - 1)
 
 
-def _g_sb_frac(n):
-    return (n - 1) * Fraction(2) ** (n - 2) + Fraction(2) ** (n - 3)
-
-
 def g_sb(n):
     """(n-1) * 2^(n-2) + 2^(n-3): the second-largest congruence energy.
 
@@ -31,7 +29,7 @@ def g_sb(n):
     """
     if n < 3:
         raise DomainError(f"g_sb needs n >= 3, got {n}")
-    return int(_g_sb_frac(n))
+    return int((n - 1) * Fraction(2) ** (n - 2) + Fraction(2) ** (n - 3))
 
 
 def g_pn(k):
@@ -83,10 +81,17 @@ def equ_energy_bound(n):
     return 2 * n * bell(n) - 2 * bell2(n)
 
 
-def _check_int(x, what):
-    if x.denominator != 1:
-        raise DomainError(f"{what} is not an integer: {x}")
-    return int(x)
+def _g_sb8(m):
+    """8 g_sb(m) = (m - 1) 2^(m+1) + 2^m = (2m - 1) 2^m, an integer for
+    every m >= 1."""
+    return (2 * m - 1) << m
+
+
+def _eighth(x8, what):
+    """x8 / 8, which must be an integer."""
+    if x8 % 8:
+        raise DomainError(f"{what} is not an integer: {Fraction(x8, 8)}")
+    return x8 // 8
 
 
 def aux_w(n, x):
@@ -108,13 +113,13 @@ def aux_u(n, x):
     """g_sb(n) minus the non-chain-quotient induction bound at height x."""
     if n < 3 or not 1 <= x <= n - 2:
         raise DomainError(f"aux_u needs n >= 3 and 1 <= x <= n-2, got n={n}, x={x}")
-    val = _g_sb_frac(n) - (2 * _g_sb_frac(n - x) + (4 * x - 2) * Fraction(2) ** (n - x - 2))
-    return _check_int(val, f"aux_u({n},{x})")
+    val8 = _g_sb8(n) - (2 * _g_sb8(n - x) + (4 * x - 2) * 2 ** (n - x + 1))
+    return _eighth(val8, f"aux_u({n},{x})")
 
 
 def aux_v(n, x):
     """g_sb(n) minus the chain-quotient induction bound at height x."""
     if n < 4 or not 2 <= x <= n - 2:
         raise DomainError(f"aux_v needs n >= 4 and 2 <= x <= n-2, got n={n}, x={x}")
-    val = _g_sb_frac(n) - (2 * _g_sb_frac(n - x) + (4 * x - 2) * Fraction(2) ** (n - x - 1))
-    return _check_int(val, f"aux_v({n},{x})")
+    val8 = _g_sb8(n) - (2 * _g_sb8(n - x) + (4 * x - 2) * 2 ** (n - x + 2))
+    return _eighth(val8, f"aux_v({n},{x})")

@@ -22,6 +22,10 @@ TOL = 1e-12
 
 @dataclass(frozen=True)
 class Adjacency:
+    """A symmetric 0/1 matrix with zero diagonal.  ``Adjacency(n, rows)``
+    checks that of its input; ``adjacency_of`` builds rows that are so by
+    construction and skips the check."""
+
     n: int
     rows: tuple  # tuple of tuples, symmetric 0/1 with zero diagonal
 
@@ -45,13 +49,17 @@ class Adjacency:
 
 
 def adjacency_of(p):
-    """Adjacency matrix of a partition: (i,j)=1 iff i != j, same block."""
-    n = p.n
-    rows = [
-        tuple(1 if i != j and p.rep[i] == p.rep[j] else 0 for j in range(n))
-        for i in range(n)
-    ]
-    return Adjacency(n, tuple(rows))
+    """Adjacency matrix of a partition: (i,j)=1 iff i != j, same block.
+    One row per block with its diagonal entry cleared; no check."""
+    rep = p.rep
+    block_row = {r: [1 if s == r else 0 for s in rep] for r in set(rep)}
+    rows = []
+    for i, r in enumerate(rep):
+        row = block_row[r]
+        rows.append((*row[:i], 0, *row[i + 1:]))
+    m = object.__new__(Adjacency)
+    m.__dict__.update(n=p.n, rows=tuple(rows))
+    return m
 
 
 def _off_norm(a, n):

@@ -63,6 +63,15 @@ class Lattice:
     def _meet_of(self):
         return {d: z for z, d in enumerate(self.dn_bits)}
 
+    @functools.cached_property
+    def _upper(self):
+        """_upper[a]: the elements that cover a, ascending."""
+        upper = [[] for _ in range(self.n)]
+        for b, cov in enumerate(self.lower):
+            for a in cov:
+                upper[a].append(b)
+        return upper
+
     def leq(self, a, b):
         return bool(self.up_bits[a] >> b & 1)
 

@@ -1,8 +1,12 @@
 """Set partitions (equivalence relations) on {0..n-1}.
 
-A partition is stored in canonical representative form: ``rep[i]`` is the
-least element of the block containing ``i``.  Equal partitions are therefore
-bitwise-equal tuples, so they hash and dedup cleanly.
+A partition has one form, its canonical rep tuple: ``rep[i]`` is the least
+element of the block containing ``i``.  Equal partitions are therefore
+bitwise-equal tuples, so they hash and dedup cleanly.  Only untrusted input
+is checked (``Partition(n, rep)``, as ``quotient --by`` builds it); the
+package's own producers (``from_labels``, ``bottom``, ``top``, ``join``,
+``join_pairs``, ``iter_partitions`` and Con's routes) make canonical rep
+tuples by construction and wrap them with ``_of``, unchecked.
 """
 
 from dataclasses import dataclass
@@ -36,31 +40,37 @@ class Partition:
         return self.rep[a] == self.rep[b]
 
 
+def _of(n, rep):
+    """A Partition from a rep tuple canonical by construction: no check."""
+    p = object.__new__(Partition)
+    fields = p.__dict__
+    fields["n"], fields["rep"] = n, rep
+    return p
+
+
 def from_labels(labels):
     """Build a Partition from any block-labelling of 0..n-1 (normalizing)."""
     first = {}
-    rep = []
-    for i, lab in enumerate(labels):
-        if lab not in first:
-            first[lab] = i
-        rep.append(first[lab])
-    return Partition(len(rep), tuple(rep))
+    rep = tuple([first.setdefault(lab, i) for i, lab in enumerate(labels)])
+    if not rep:
+        raise SizeMismatch("a partition needs at least one label")
+    return _of(len(rep), rep)
 
 
 def bottom(n):
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
-    return Partition(n, tuple(range(n)))
+    return _of(n, tuple(range(n)))
 
 
 def top(n):
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
-    return Partition(n, (0,) * n)
+    return _of(n, (0,) * n)
 
 
 def num_blocks(p):
-    return sum(1 for i, r in enumerate(p.rep) if r == i)
+    return len(set(p.rep))
 
 
 def heq(p):
@@ -125,7 +135,7 @@ def join(p, q):
     if p.n != q.n:
         raise SizeMismatch(f"universe sizes differ: {p.n} vs {q.n}")
     rep = union_find(list(p.rep), [(i, r) for i, r in enumerate(q.rep) if r != i])
-    return Partition(p.n, rep)
+    return _of(p.n, rep)
 
 
 def join_pairs(n, pairs, translations=()):
@@ -138,7 +148,9 @@ def join_pairs(n, pairs, translations=()):
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
-    return Partition(n, union_find(list(range(n)), pairs, translations))
+    if n < 1:
+        raise SizeMismatch(f"a partition needs n >= 1, got {n}")
+    return _of(n, union_find(list(range(n)), pairs, translations))
 
 
 def iter_partitions(n):
@@ -154,21 +166,35 @@ def iter_partitions(n):
 
 def _restricted_growth_strings(n):
     """The successor of a restricted growth string raises its last entry
-    that is at most the largest one before it and zeroes what follows."""
-    rgs = [0] * n
-    most = [0] * n  # most[i]: the largest of rgs[0..i]
+    that is at most the largest one before it and zeroes what follows.  An
+    element's rep is where its label first occurs, so the rep tuple keeps
+    its head, and the tail after the raised entry becomes zeros.  The last
+    entry runs through its labels in an inner loop: the last element joins
+    each block of the head in turn, and then stands alone."""
+    if n == 1:
+        yield _of(1, (0,))
+        return
+    m = n - 1  # the head's length
+    rgs = [0] * m
+    most = [0] * m  # most[i]: the largest of rgs[0..i]
+    first = [0] * m  # first[k]: where label k first occurs
+    head = (0,) * m
     while True:
-        yield from_labels(rgs)
-        i = n - 1
+        for r in first[: most[-1] + 1]:
+            yield _of(n, head + (r,))
+        yield _of(n, head + (m,))
+        i = m - 1
         while i and rgs[i] > most[i - 1]:
             i -= 1
         if not i:
             return
-        rgs[i] += 1
-        most[i] = max(most[i - 1], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            most[j] = most[i]
+        lab = rgs[i] = rgs[i] + 1
+        if lab > most[i - 1]:
+            first[lab] = i
+        most[i] = max(most[i - 1], lab)
+        rgs[i + 1:] = [0] * (m - i - 1)
+        most[i + 1:] = [most[i]] * (m - i - 1)
+        head = head[:i] + (first[lab],) + (0,) * (m - i - 1)
 
 
 def all_partitions(n):

@@ -1,6 +1,8 @@
 import functools
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +305,15 @@ def test_json_round_trip():
         ),
     )
     assert back == a
+
+
+def test_checked_constructor_accepts_every_con_alg_member(monkeypatch):
+    # the algebras of the benchmark's verify job list, seed 1
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    jobs = importlib.import_module("jobs")
+    algebras = [job for job in jobs.make_jobs("verify", 1) if job["kind"] == "algebra"]
+    assert algebras
+    for job in algebras:
+        ops = tuple(alg.Operation(name, arity, tuple(t)) for name, arity, t in job["ops"])
+        for p in alg.all_congruences_alg(alg.FiniteAlgebra(job["n"], ops)).members:
+            assert pt.Partition(p.n, p.rep) == p

@@ -357,7 +357,8 @@ def test_bad_input_file(tmp_path, capsys):
         code, out, err = run(capsys, ["energy", str(path)])
         assert code == cli.EXIT_INPUT
         assert err.startswith("input-error:")
-    for by in ("5", '[0,0,"a"]', deep_by):
+    # a rep array that is not canonical, or of the wrong length
+    for by in ("5", '[0,0,"a"]', deep_by, "[1,1,2]", "[0,0]", "[0,0,2,3]"):
         code, out, err = run(capsys, ["quotient", "--builder", "chain:3", "--by", by])
         assert code == cli.EXIT_INPUT
         assert err.startswith("input-error:")

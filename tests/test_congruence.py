@@ -254,16 +254,25 @@ def test_the_lattice_and_the_algebra_route_find_the_same_join_irreducibles():
 
 
 def test_all_congruences_reaches_each_member_once(monkeypatch):
-    # one join per non-bottom member, so the budget counts members, not
+    # one closure per non-bottom member, so the budget counts members, not
     # repeats of them
-    joins = []
-    real_join = pt.join
-    monkeypatch.setattr(pt, "join", lambda p, q: joins.append(1) or real_join(p, q))
+    closures = []
+    real_union_find = pt.union_find
+    monkeypatch.setattr(
+        pt, "union_find", lambda *args: closures.append(1) or real_union_find(*args)
+    )
     for n in range(1, 8):
         for lat in em.all_lattices(n):
-            joins.clear()
+            closures.clear()
             con = cg.all_congruences(lat)
-            assert len(joins) == len(con) - 1
+            assert len(closures) == len(con) - 1
+
+
+def test_checked_constructor_accepts_every_con_member():
+    for n in range(1, 8):
+        for lat in em.all_lattices(n):
+            for p in cg.all_congruences(lat).members:
+                assert pt.Partition(p.n, p.rep) == p
 
 
 def test_all_congruences_matches_brute_force():

@@ -119,3 +119,21 @@ def test_aux_v():
             assert ct.aux_v(n, x) > 0
     with pytest.raises(DomainError):
         ct.aux_v(6, 1)
+
+
+def test_aux_u_and_v_equal_their_fraction_formulas():
+    # the formulas as written, in Fractions: g_sb(2) = 3/2 enters at x = n - 2
+    def g_sb(m):
+        return (m - 1) * Fraction(2) ** (m - 2) + Fraction(2) ** (m - 3)
+
+    for n in range(3, 61):
+        for x in range(1, n - 1):
+            u = g_sb(n) - (2 * g_sb(n - x) + (4 * x - 2) * Fraction(2) ** (n - x - 2))
+            assert ct.aux_u(n, x) == u and type(ct.aux_u(n, x)) is int
+            if n >= 4 and x >= 2:
+                v = g_sb(n) - (2 * g_sb(n - x) + (4 * x - 2) * Fraction(2) ** (n - x - 1))
+                assert ct.aux_v(n, x) == v and type(ct.aux_v(n, x)) is int
+    with pytest.raises(DomainError):
+        ct.aux_u(2, 1)
+    with pytest.raises(DomainError):
+        ct.aux_v(3, 1)

@@ -141,3 +141,10 @@ def test_monotone_step_with_atoms():
                 for gamma in c_b:
                     lifted = pt.join(alpha, gamma)
                     assert en.combinatorial_energy(gamma) <= en.combinatorial_energy(lifted) - 2
+
+
+def test_checked_adjacency_accepts_adjacency_of():
+    for n in range(1, 7):
+        for p in pt.iter_partitions(n):
+            m = en.adjacency_of(p)
+            assert en.Adjacency(n, m.rows) == m

@@ -187,3 +187,59 @@ def test_union_find_reps_match_component_labelling():
                     changed = True
         want = pt.from_labels(labels).rep
         assert pt.union_find(list(parent), pairs) == want
+
+
+def old_iter_partitions(n):
+    """The restricted growth strings in lexicographic order, each turned
+    into a Partition by from_labels."""
+    rgs = [0] * n
+    most = [0] * n
+    while True:
+        yield pt.from_labels(rgs)
+        i = n - 1
+        while i and rgs[i] > most[i - 1]:
+            i -= 1
+        if not i:
+            return
+        rgs[i] += 1
+        most[i] = max(most[i - 1], rgs[i])
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            most[j] = most[i]
+
+
+def test_iter_partitions_equals_from_labels_per_growth_string():
+    for n in range(1, 9):
+        assert list(pt.iter_partitions(n)) == list(old_iter_partitions(n))
+
+
+def checked(p):
+    """The checked constructor accepts p, and gives p back."""
+    assert pt.Partition(p.n, p.rep) == p
+    return p
+
+
+def test_checked_constructor_accepts_what_the_package_builds():
+    for n in range(1, 9):
+        for p in pt.iter_partitions(n):
+            checked(p)
+        checked(pt.bottom(n))
+        checked(pt.top(n))
+    rng = random.Random(2026)
+    for _ in range(500):
+        n = rng.randint(1, 9)
+        p = checked(pt.from_labels([rng.randint(0, n - 1) for _ in range(n)]))
+        q = checked(pt.from_labels([rng.randint(0, n - 1) for _ in range(n)]))
+        checked(pt.join(p, q))
+        checked(pt.meet(p, q))
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        checked(pt.join_pairs(n, pairs))
+
+
+def test_empty_input_is_still_refused():
+    with pytest.raises(SizeMismatch):
+        pt.from_labels([])
+    with pytest.raises(SizeMismatch):
+        pt.join_pairs(0, [])
+    with pytest.raises(SizeMismatch):
+        pt.Partition(0, ())
