@@ -27,8 +27,8 @@ the x with t in S_x, that is one OR and one popcount per member.
 Algebras, whose Con need not be distributive, use the generic
 ``join_closure``: it keeps the generators that are not the join of those
 strictly below it, which are the join-irreducibles J of the closure, and
-closes them under joins on rep tuples, with a pair bitmask per member for
-the order test that stays inside the closure.  Every route stops with
+closes them under joins on rep tuples, one generator at a time, with a
+pair bitmask per member for the order tests.  Every route stops with
 BudgetExceeded once Con passes CON_BUDGET members.  Perspectivity
 reachability over prime intervals and a brute-force filter over all
 partitions stay as cross-check oracles.
@@ -211,29 +211,31 @@ def join_closure(n, generators):
     distributive.
 
     Every member is a join of generators, so the kept generators, those not
-    the join of the generators strictly below them, are exactly J.  The
-    closure runs over them on rep tuples, each with its pair mask for the
-    <= test, and builds each member's Partition once, at the end, with the
-    members of J whose pair masks lie inside its own as its down-set."""
+    the join of the generators strictly below them, are exactly J.  They
+    are added one at a time along a linear extension: the joins M_i of the
+    first i are M_{i-1} and the m v g_i for m in M_{i-1}.  The members of J
+    below g_i come first, so with b their join, m v g_i = (m v b) v g_i
+    needs a union-find only for m >= b with g_i not <= m: one per member
+    when Con is distributive.  Each member is a rep tuple with its pair
+    mask for the <= tests, and becomes a Partition once, at the end, with
+    the members of J whose pair masks lie inside its own as its down-set."""
     jis = _join_irreducible_generators(n, {g.rep: _pair_mask(g.rep) for g in generators})
-    gens = [(g_pairs, _rep_pairs([g])) for g, g_pairs in jis.items()]
+    j_pairs, below = _inclusion_order(jis.values())
+    rep_of = {g_pairs: g for g, g_pairs in jis.items()}
     bottom = tuple(range(n))
     members = {bottom: _pair_mask(bottom)}
-    frontier = [bottom]
-    while frontier:
-        fresh = []
-        for f in frontier:
-            f_pairs = members[f]
-            for g_pairs, g_links in gens:
-                if g_pairs & ~f_pairs == 0:  # g <= f: f v g = f is known
-                    continue
-                h = pt.union_find(list(f), g_links)
-                if h not in members:
-                    members[h] = _pair_mask(h)
-                    fresh.append(h)
-                    _budget_check(members)
-        frontier = fresh
-    j_pairs, below = _inclusion_order(jis.values())
+    for g_pairs, b in zip(j_pairs, below):
+        need = 0  # the pairs of the members of J strictly below g
+        for s in lt._bits(b):
+            need |= j_pairs[s]
+        g_links = _rep_pairs([rep_of[g_pairs]])
+        for f, f_pairs in list(members.items()):
+            if need & ~f_pairs or not g_pairs & ~f_pairs:  # f not >= b, or g <= f
+                continue
+            h = pt.union_find(list(f), g_links)
+            if h not in members:
+                members[h] = _pair_mask(h)
+                _budget_check(members)
     downs = [
         sum(1 << t for t, j in enumerate(j_pairs) if j & ~pairs == 0)
         for pairs in members.values()
@@ -384,10 +386,11 @@ def congruence_energies(lat):
     return [2 * r.bit_count() for _, r in members]
 
 
-def brute_force_congruences(lat):
-    """Oracle route: filter every partition through the checker.  The
-    members, as a tuple sorted by (heq, rep)."""
-    members = [p for p in pt.all_partitions(lat.n) if is_congruence(lat, p)]
+def brute_force_congruences(lat, partitions=None):
+    """Oracle route: filter every partition through the checker, or the
+    given list of all partitions of lat.n points.  The members, as a tuple
+    sorted by (heq, rep)."""
+    members = [p for p in partitions or pt.all_partitions(lat.n) if is_congruence(lat, p)]
     return tuple(sorted(members, key=lambda m: (pt.heq(m), m.rep)))
 
 

@@ -23,7 +23,10 @@ the down-sets of J, and the antichain and shape tests), and
 ``all_lattices`` keeps it, in the labelling it was generated in.  The key
 is the order matrix in the canonical labelling, so the covers of that
 labelling follow from it alone: ``covers_from_key`` decodes them when they
-are asked for.
+are asked for.  One walk serves every order up to n: each level's
+(m - 1)-element prefixes, with a top added, are the classes of order m
+(``_keyed_orders``), so the reports and lattices of orders 1..n come
+from the walk to n, and ``enumerate --n`` folds order n alone.
 
 From order 9 on, the last level, which holds most of the work, is shared
 among the CPUs this process may run on, at most 8.  Its parents are cut
@@ -78,8 +81,13 @@ def all_lattices(n):
     """All n-element lattices, one representative per isomorphism class,
     in canonical-form order, unchecked, each labelled as generated: along a
     linear extension, so every cover a < b, with bottom 0 and top n - 1."""
-    rows = _keyed_lattices(n, lambda key, lat: (lat.n, lat.up_bits, lat.dn_bits, lat.lower))
-    return [lt._from_rows(*r) for _, r in sorted(rows.items())]
+    return all_lattices_by_order(n, n)[0]
+
+
+def all_lattices_by_order(n, first=1):
+    """[all_lattices(m) for m in first..n], from one generator walk."""
+    found = _keyed_orders(n, lambda key, lat: (lat.n, lat.up_bits, lat.dn_bits, lat.lower), first)
+    return [[lt._from_rows(*r) for _, r in sorted(f.items())] for f in found]
 
 
 def covers_from_key(key):
@@ -128,21 +136,45 @@ def _keyed_lattices(n, fold):
     filter.  The dictionary keyed by canonical form removes the duplicates
     that are left.
     """
+    return _keyed_orders(n, fold, n)[0]
+
+
+def _keyed_orders(n, fold, first=1):
+    """[_keyed_lattices(m, fold) for m in first..n], from one walk.  The
+    level of (m - 1)-element prefixes holds the first child met of each
+    class of meet semilattices, and adding a top is a bijection onto the
+    lattices of order m: with a top, they are the last level of the walk
+    to m, the same classes in the same order with the same children, each
+    labelled once more for its key."""
     if n < 1:
         raise DomainError(f"all_lattices needs n >= 1, got {n}")
     if n > ENUMERATION_BUDGET:
         raise BudgetExceeded(f"all_lattices limited to n <= {ENUMERATION_BUDGET}")
-    if n <= 2:
-        lat = lt.chain(n)
+    orders = []
+    for lat in map(lt.chain, range(first, min(n, 2) + 1)):
         key = lt.canonical_form(lat)
-        return {key: fold(key, lat)}
+        orders.append({key: fold(key, lat)})
+    if n <= 2:
+        return orders
     level = [([1], [1], [()], ())]  # (dn, up, lower-cover tuples, twin classes)
     for k in range(1, n - 2):
         level = list(_children(level, k, n, fold).values())
+        if k + 2 >= first:  # the (k + 1)-element prefixes with a top
+            orders.append({})
+            for dn, up, lower, _ in level:
+                rows = _add_top(up, dn, lower, [y for y, u in enumerate(up) if u == 1 << y])
+                key = lt.canonical_order_matrix(k + 2, *rows)[0]
+                orders[-1][key] = fold(key, lt._from_rows(k + 2, *rows))
     workers = _workers() if n >= _FORK_FROM else 1
     if workers == 1:
-        return _children(level, n - 2, n, fold)
-    return _forked_children(level, n, fold, workers)
+        return orders + [_children(level, n - 2, n, fold)]
+    return orders + [_forked_children(level, n, fold, workers)]
+
+
+def _add_top(up, dn, lower, maximal):
+    """The rows and lower covers with a top above the ascending maximal elements."""
+    top = 1 << len(up)
+    return [u | top for u in up] + [top], dn + [2 * top - 1], lower + [tuple(maximal)]
 
 
 def _workers():
@@ -263,10 +295,8 @@ def _children(level, k, n, fold):
             up2 = [u | new if mask >> a & 1 else u for a, u in enumerate(up)] + [new]
             lower2 = lower + [x_lower]
             if last:  # append the top: the key is the lattice's canonical form
-                top = 1 << (n - 1)
-                dn2.append(2 * top - 1)
-                up2 = [u | top for u in up2] + [top]
-                lower2.append(tuple([y for y in maximal if not mask >> y & 1] + [k]))
+                tops = [y for y in maximal if not mask >> y & 1] + [k]
+                up2, dn2, lower2 = _add_top(up2, dn2, lower2, tops)
             key, twins2 = lt.canonical_order_matrix(len(up2), up2, dn2, lower2)
             if key not in nxt:
                 if last:
@@ -390,7 +420,16 @@ def extremal_report(n):
     of the extremal statements by name; ``second_ce`` is None below order
     4, where the chain is the only lattice.  Each record is made from the
     first Lattice the generator makes of the class."""
-    records = [r for _, r in sorted(_keyed_lattices(n, _record).items())]
+    return extremal_reports(n, n)[0]
+
+
+def extremal_reports(n, first=1):
+    """[extremal_report(m) for m in first..n], from one generator walk."""
+    found = _keyed_orders(n, _record, first)
+    return [_report(m, [r for _, r in sorted(f.items())]) for m, f in enumerate(found, first)]
+
+
+def _report(n, records):
     max_ce = max(r["ce"] for r in records)
     rest = [r for r in records if r["ce"] < max_ce]
     second_ce = max((r["ce"] for r in rest), default=None)

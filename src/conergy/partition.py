@@ -36,9 +36,6 @@ class Partition:
             by_rep.setdefault(r, []).append(i)
         return [tuple(by_rep[r]) for r in sorted(by_rep)]
 
-    def same_block(self, a, b):
-        return self.rep[a] == self.rep[b]
-
 
 def _of(n, rep):
     """A Partition from a rep tuple canonical by construction: no check."""

@@ -149,11 +149,11 @@ def test_enumerate_budget_exit(capsys):
 
 @pytest.mark.parametrize("suite", ["remark1", "thm-b", "thm-c", "manycon", "pentagon"])
 def test_enumerating_suites_check_the_budget_before_any_order(capsys, monkeypatch, suite):
-    def compute(n):
+    def compute(n, first=None):
         raise AssertionError(f"order {n} computed past the budget")
 
-    monkeypatch.setattr(em, "extremal_report", compute)
-    monkeypatch.setattr(em, "all_lattices", compute)
+    for name in ("extremal_report", "extremal_reports", "all_lattices", "all_lattices_by_order"):
+        monkeypatch.setattr(em, name, compute)
     monkeypatch.setattr(em, "glued_n5_family", compute)
     monkeypatch.setattr(cg, "congruence_energies", compute)
     # pentagon's budget is Con(L)'s: 5 * 2^(k-5) members, past it at k = 17
@@ -302,43 +302,67 @@ def congruence_reps(max_n):
     ]
 
 
-def test_remark1_compares_every_member_and_solves_each_partition_once(monkeypatch):
+def shape_of(rep):
+    """The sorted block sizes of the partition with this rep tuple."""
+    return tuple(sorted(map(rep.count, set(rep))))
+
+
+def test_remark1_compares_every_member_and_solves_each_shape_once(monkeypatch):
     occurrences = congruence_reps(6)
-    distinct = set(occurrences)
-    # the most frequent partition that is neither the bottom nor the top
-    nontrivial = [rep for rep in distinct if 1 < len(set(rep)) < len(rep)]
-    bad = max(nontrivial, key=lambda rep: (occurrences.count(rep), rep))
-    bad_partition = pt.Partition(len(bad), bad)
-    bad_adjacency = en.adjacency_of(bad_partition)
+    # every integer partition of every k <= 6 is the shape of a congruence
+    # of the chain, so the suite meets p(1) + ... + p(6) = 29 shapes
+    shapes = {shape_of(rep) for rep in occurrences}
+    assert len(shapes) == 29
+    # the most frequent shape held by two or more distinct partitions
+    spread = [s for s in shapes if len({rep for rep in occurrences if shape_of(rep) == s}) > 1]
+    bad = max(spread, key=lambda s: (sum(shape_of(rep) == s for rep in occurrences), s))
     real = en.spectral_energy
     calls = []
 
     def spectral_energy(m):
-        calls.append(m)
-        return real(m) + (1.0 if m == bad_adjacency else 0.0)
+        # a vertex of a clique K_b has degree b - 1: the block sizes, each b
+        # listed b times
+        sizes = tuple(sorted(sum(row) + 1 for row in m.rows))
+        calls.append(sizes)
+        return -1.0 if sizes == tuple(sorted(b for b in bad for _ in range(b))) else real(m)
 
     monkeypatch.setattr(en, "spectral_energy", spectral_energy)
     ok, details = cli.suite_remark1(6)
     assert ok is False
     failures = [d for d in details if " rep=" in d]
-    want = occurrences.count(bad)
-    assert want > 1
-    line = (
-        f"n={len(bad)} rep={bad}: spectral {real(bad_adjacency) + 1.0} "
-        f"vs exact {en.combinatorial_energy(bad_partition)}"
-    )
-    assert failures == [line] * want
-    assert len(calls) == len(set(calls)) == len(distinct)
-    # the cache lives for one call only: a second call solves every partition again
-    first = len(calls)
+    want = [
+        f"n={len(rep)} rep={rep}: spectral -1.0 vs exact {2 * (len(rep) - len(set(rep)))}"
+        for rep in occurrences
+        if shape_of(rep) == bad
+    ]
+    assert len(set(want)) > 1
+    assert failures == want
+    assert len(calls) == len(set(calls)) == len(shapes)
+    # the cache lives for one call only: a second call solves every shape again
     cli.suite_remark1(6)
-    assert len(calls) == 2 * first
+    assert len(calls) == 2 * len(shapes)
 
 
-def test_oracle(capsys):
+def test_one_shape_has_one_spectral_energy():
+    # the premise of remark1's cache: partitions with the same sorted block
+    # sizes have isomorphic graphs, hence one Jacobi energy, within 1e-9
+    for n in range(1, 8):
+        by_shape = {}
+        for p in pt.all_partitions(n):
+            by_shape.setdefault(shape_of(p.rep), []).append(en.spectral_energy(en.adjacency_of(p)))
+        for energies in by_shape.values():
+            assert max(energies) - min(energies) < 1e-9
+
+
+def test_oracle(capsys, monkeypatch):
+    real, built = pt.all_partitions, []
+    monkeypatch.setattr(pt, "all_partitions", lambda n: built.append(n) or real(n))
     code, doc = run_json(capsys, ["oracle", "--n", "5"])
     assert code == cli.EXIT_OK
     assert doc["ok"] is True
+    # the 52 partitions serve the brute-force filter of the 5 lattices and
+    # the Bell count, built once
+    assert built == [5]
 
 
 def test_bad_input_file(tmp_path, capsys):

@@ -722,3 +722,39 @@ def test_a_killed_worker_fails_the_enumeration(workers, count):
     with pytest.raises(RuntimeError, match="signal 9"):
         em._keyed_lattices(9, fold)
     assert_no_child_left()
+
+
+def test_one_walk_gives_every_order_as_its_own_walk_does():
+    # the same keys, in the same order, with the same representative rows;
+    # the walk to 10 forks its last level, the walk to 9 labels order 9 in
+    # this process
+    def rows(key, lat):
+        return lat.n, lat.up_bits, lat.dn_bits, lat.lower
+
+    alone = {m: list(em._keyed_lattices(m, rows).items()) for m in range(1, 11)}
+    assert len(alone[10]) == 5994
+    for n in range(1, 11):
+        orders = em._keyed_orders(n, rows)
+        assert [list(found.items()) for found in orders] == [alone[m] for m in range(1, n + 1)]
+
+
+def test_enumerate_folds_only_its_own_order(workers, monkeypatch, capsys):
+    workers(1)
+    folded = []
+    record = em._record
+
+    def counted(key, lat):
+        folded.append(lat.n)
+        return record(key, lat)
+
+    monkeypatch.setattr(em, "_record", counted)
+    for n, count in KNOWN_COUNTS.items():
+        folded.clear()
+        assert cli.main(["enumerate", "--n", str(n)]) == 0
+        capsys.readouterr()
+        assert folded == [n] * count
+    # the reports of every order from 4 to 8 fold each order's classes once
+    folded.clear()
+    reports = em.extremal_reports(8, 4)
+    assert sorted(folded) == [m for m in range(4, 9) for _ in range(KNOWN_COUNTS[m])]
+    assert reports == [em.extremal_report(m) for m in range(4, 9)]
