@@ -36,7 +36,6 @@ from .counting import (
     stirling2,
 )
 from .energy import (
-    Adjacency,
     adjacency_of,
     combinatorial_energy,
     congruence_energy,
@@ -63,7 +62,6 @@ from .lattice import (
     named,
 )
 from .partition import (
-    Partition,
     all_partitions,
     bottom,
     heq,

@@ -183,7 +183,7 @@ def cmd_conlat(args):
     _emit(
         {
             "host_n": con.host_n,
-            "members": [list(m.rep) for m in con.members],
+            "members": [list(m) for m in con.members],
             "hasse": hasse,
             "atoms": [i for i, r in enumerate(rank) if r == 1],
             "distributive": True,
@@ -196,7 +196,7 @@ def cmd_conlat(args):
 
 def cmd_quotient(args):
     lat = load_lattice(args)
-    theta = pt.Partition(lat.n, load_json(args.by, "--by"))
+    theta = pt.checked(lat.n, load_json(args.by, "--by"))
     q, block_map = cg.quotient(lat, theta)
     _emit({**q.to_json_dict(), "block_map": list(block_map)}, args.out)
     return EXIT_OK
@@ -254,16 +254,16 @@ def suite_remark1(max_n):
     for n, lattices in enumerate(enum_mod.all_lattices_by_order(max_n), 1):
         for lat in lattices:
             for m in cg.all_congruences(lat).members:
-                se_ce = energies.get(m.rep)
+                se_ce = energies.get(m)
                 if se_ce is None:
-                    shape = tuple(sorted(map(m.rep.count, set(m.rep))))
+                    shape = tuple(sorted(map(m.count, set(m))))
                     if shape not in by_shape:
                         by_shape[shape] = en.spectral_energy(en.adjacency_of(m))
-                    se_ce = energies[m.rep] = by_shape[shape], en.combinatorial_energy(m)
+                    se_ce = energies[m] = by_shape[shape], en.combinatorial_energy(m)
                 se, ce = se_ce
                 if abs(se - ce) >= 1e-9:
                     ok = False
-                    details.append(f"n={n} rep={m.rep}: spectral {se} vs exact {ce}")
+                    details.append(f"n={n} rep={m}: spectral {se} vs exact {ce}")
     details.append(f"checked all congruences of all iso classes up to n={max_n}")
     return ok, details
 
@@ -308,7 +308,7 @@ def suite_bounds(max_n):
             ok = False
             details.append(f"n={n}: table value {got} != {want}")
     for n in range(1, min(max_n, 8) + 1):
-        direct = sum(en.combinatorial_energy(p) for p in pt.all_partitions(n))
+        direct = sum(map(en.combinatorial_energy, pt.iter_partitions(n)))
         if direct != ct.equ_energy_bound(n):
             ok = False
             details.append(f"n={n}: direct sum {direct} != bound")

@@ -12,7 +12,7 @@ lookup among the up-sets.
 Since blocks are intervals, the member of down-set D is the equivalence
 generated by the covers whose label is in D, so ``all_congruences`` builds
 each member's rep tuple with one union-find and keeps its down-set mask
-beside it.
+beside it.  A member is its rep tuple, as ``partition`` makes it.
 ``principal_congruence`` closes a pair under the translations x -> x v c
 and x -> x ^ c with ``partition.join_pairs``, the union-find that algebras
 run over their own translations; it is the oracle for the labels.
@@ -37,8 +37,8 @@ So every ``CongruenceLattice`` has one form, whichever route built it:
 its members, the down-set over J of each, and J's strict order.
 Distributivity is Birkhoff's count: x -> {j in J : j <= x} embeds a finite
 lattice into the down-sets O(J), so it is distributive iff it has as many
-members as J has down-sets, grown by the same breadth-first routine that
-builds Con(L).  Booleanness of a distributive one is decided by counting
+members as J has down-sets, grown one member of J at a time as Con(L)'s
+are.  Booleanness of a distributive one is decided by counting
 too, since a finite distributive lattice is boolean iff it has 2^(number
 of atoms) elements, and the atoms are the members with one member of J
 below them.
@@ -66,7 +66,7 @@ CON_BUDGET = 1 << 14
 @dataclass(frozen=True)
 class CongruenceLattice:
     host_n: int
-    members: tuple  # Partition tuple, sorted by (heq, rep)
+    members: tuple  # rep tuples, sorted by (heq, rep)
     # down_sets[i]: the bitmask of the members of J below members[i], J
     # numbered along a linear extension of its order
     down_sets: tuple = field(compare=False)
@@ -93,18 +93,18 @@ class CongruenceLattice:
         return [m for m, d in zip(self.members, self.down_sets) if d.bit_count() == 1]
 
 
-def _sorted_with(n, reps, data):
-    """The members with the given rep tuples sorted by (heq, rep), as
-    Partitions, and the data aligned with them, in the same order."""
+def _sorted_with(reps, data):
+    """The rep tuples sorted by (heq, rep), and the data aligned with them,
+    in the same order."""
     ranked = sorted([(-len(set(r)), r, d) for r, d in zip(reps, data)])  # reps are distinct
-    return tuple([pt._of(n, r) for _, r, _ in ranked]), tuple([d for _, _, d in ranked])
+    return tuple([r for _, r, _ in ranked]), tuple([d for _, _, d in ranked])
 
 
-def is_congruence(lat, p):
+def is_congruence(lat, rep):
     """Interval blocks + quadrilateral condition + its dual."""
-    if p.n != lat.n:
-        raise SizeMismatch(f"partition on {p.n} elements vs lattice on {lat.n}")
-    up, dn, rep = lat.up_bits, lat.dn_bits, p.rep
+    if len(rep) != lat.n:
+        raise SizeMismatch(f"partition on {len(rep)} elements vs lattice on {lat.n}")
+    up, dn = lat.up_bits, lat.dn_bits
     # per block of two or more: its members, and the AND of their up rows
     # and of their down rows, the up row of its join and the down row of
     # its meet
@@ -217,9 +217,9 @@ def join_closure(n, generators):
     below g_i come first, so with b their join, m v g_i = (m v b) v g_i
     needs a union-find only for m >= b with g_i not <= m: one per member
     when Con is distributive.  Each member is a rep tuple with its pair
-    mask for the <= tests, and becomes a Partition once, at the end, with
-    the members of J whose pair masks lie inside its own as its down-set."""
-    jis = _join_irreducible_generators(n, {g.rep: _pair_mask(g.rep) for g in generators})
+    mask for the <= tests; at the end, the members of J whose pair masks
+    lie inside its own are its down-set."""
+    jis = _join_irreducible_generators(n, {g: _pair_mask(g) for g in generators})
     j_pairs, below = _inclusion_order(jis.values())
     rep_of = {g_pairs: g for g, g_pairs in jis.items()}
     bottom = tuple(range(n))
@@ -240,7 +240,7 @@ def join_closure(n, generators):
         sum(1 << t for t, j in enumerate(j_pairs) if j & ~pairs == 0)
         for pairs in members.values()
     ]
-    return CongruenceLattice(n, *_sorted_with(n, members, downs), below)
+    return CongruenceLattice(n, *_sorted_with(members, downs), below)
 
 
 def _rep_pairs(reps):
@@ -265,43 +265,31 @@ def _inclusion_order(masks):
     return masks, tuple(below)
 
 
-def _down_set_steps(below):
-    """Each nonempty down-set of a poset once, breadth-first, as (i, t,
-    mask): down-set i, 0 being the empty one, extended by element t to the
-    down-set with bitmask mask.  The elements are numbered along a linear
-    extension, below[t] being the bitmask of those strictly below t.  D is
-    extended by t only when t is above D's highest index and D holds all
-    of below[t], so each down-set comes from itself minus its top."""
-    downs = [0]
-    for i, down in enumerate(downs):
-        for t in range(down.bit_length(), len(below)):
-            if below[t] & ~down == 0:
-                downs.append(down | 1 << t)
-                yield i, t, downs[-1]
-
-
 def all_congruences(lat):
     """Con(L) as the down-sets of its join-irreducibles J, each member with
     its down-set mask.
 
     Con(L) is distributive (Funayama-Nakayama), so D -> join(D) is a
     bijection from the down-sets of J onto Con(L).  Blocks are intervals,
-    so the member of D is generated by the covers whose label is in D, and
-    each member costs one union-find: on the rep tuple of the member of D
-    minus its top label t, with the covers labelled t.  Raises
-    BudgetExceeded as soon as Con has more than CON_BUDGET members.
+    so the member of D is generated by the covers whose label is in D.  The
+    down-sets are grown one member t of J at a time, as in
+    ``congruence_energies``, and each new member costs one union-find: on
+    the rep tuple of the member of D, with the covers labelled t, for each
+    down-set D of the first t members that holds below[t].  Raises
+    BudgetExceeded once Con has more than CON_BUDGET members, checked as
+    each member of J is added.
     """
     below, labels = _label_rows(lat)
     links = [[] for _ in below]
     for y, x, t in labels:
         links[t].append((y, x))
-    reps = [tuple(range(lat.n))]
-    masks = [0]
-    for i, t, mask in _down_set_steps(below):
-        reps.append(pt.union_find(list(reps[i]), links[t]))
-        masks.append(mask)
-        _budget_check(reps)
-    return CongruenceLattice(lat.n, *_sorted_with(lat.n, reps, masks), below)
+    members = [(0, tuple(range(lat.n)))]  # (down-set, rep)
+    for t, (b, t_links) in enumerate(zip(below, links)):
+        bit = 1 << t
+        members += [(d | bit, pt.union_find(list(r), t_links)) for d, r in members if not b & ~d]
+        _budget_check(members)
+    masks, reps = zip(*members)
+    return CongruenceLattice(lat.n, *_sorted_with(reps, masks), below)
 
 
 def _label_rows(lat):
@@ -391,7 +379,7 @@ def brute_force_congruences(lat, partitions=None):
     given list of all partitions of lat.n points.  The members, as a tuple
     sorted by (heq, rep)."""
     members = [p for p in partitions or pt.all_partitions(lat.n) if is_congruence(lat, p)]
-    return tuple(sorted(members, key=lambda m: (pt.heq(m), m.rep)))
+    return tuple(sorted(members, key=lambda m: (pt.heq(m), m)))
 
 
 def quotient(lat, theta):
@@ -403,12 +391,12 @@ def quotient(lat, theta):
     if not is_congruence(lat, theta):
         raise NotACongruence("partition is not a congruence of the lattice")
     # a block is an interval, so its bottom has the smallest down-set
-    bots = [min(block, key=lambda x: lat.dn_bits[x].bit_count()) for block in theta.blocks()]
+    bots = [min(block, key=lambda x: lat.dn_bits[x].bit_count()) for block in pt.blocks(theta)]
     up = [sum(1 << j for j, b in enumerate(bots) if lat.leq(a, b)) for a in bots]
     dn = [sum(1 << i for i, a in enumerate(bots) if lat.leq(a, b)) for b in bots]
-    index = {r: i for i, r in enumerate(sorted(set(theta.rep)))}
+    index = {r: i for i, r in enumerate(sorted(set(theta)))}
     q = lt._from_rows(len(bots), up, dn, lt._lower_from_order(dn))  # L/theta is a lattice
-    return q, tuple(index[r] for r in theta.rep)
+    return q, tuple(index[r] for r in theta)
 
 
 def upset_split(c, alpha):
@@ -444,14 +432,16 @@ def is_distributive(c):
     """Whether the congruence lattice c (of a lattice or an algebra) is
     distributive, by Birkhoff's count: x -> {j in J : j <= x} embeds a
     finite lattice into the down-sets O(J) of its join-irreducibles J, so
-    c is distributive iff |c| = |O(J)|.  The count runs over ``c.below``
-    and stops once it passes |c|."""
-    count = 1
-    for _ in _down_set_steps(c.below):
-        count += 1
-        if count > len(c):
+    c is distributive iff |c| = |O(J)|.  The down-sets are grown over
+    ``c.below`` one member of J at a time, as in ``all_congruences``, and
+    the count stops once it passes |c|."""
+    downs = [0]
+    for t, b in enumerate(c.below):
+        bit = 1 << t
+        downs += [d | bit for d in downs if not b & ~d]
+        if len(downs) > len(c):
             return False
-    return count == len(c)
+    return len(downs) == len(c)
 
 
 def has_boolean_size(c):

@@ -1,65 +1,35 @@
 """Energy of congruences, two ways.
 
-The spectral route builds the adjacency matrix of a partition (edges join
-distinct elements of a common block) and sums the absolute eigenvalues,
-computed by an in-package cyclic Jacobi solver.  The combinatorial route
-returns the exact integer 2*(n - number of blocks).  The combinatorial
-route is the production path; the solver exists to validate the spectral
-definition against it.  ``congruence_energy`` sums the combinatorial route
-over Con; the tests, not the production path, check it against the block
-count identity CE = 2 * n * |Con| - 2 * (total number of blocks).
+The spectral route builds the adjacency matrix of a partition, a tuple of
+0/1 rows (edges join distinct elements of a common block), and sums the
+absolute eigenvalues, computed by an in-package cyclic Jacobi solver.  The
+combinatorial route returns the exact integer 2*(n - number of blocks).
+The combinatorial route is the production path; the solver exists to
+validate the spectral definition against it.  ``congruence_energy`` sums
+the combinatorial route over Con; the tests, not the production path,
+check it against the block count identity CE = 2 * n * |Con| - 2 * (total
+number of blocks).
 """
 
 import math
-from dataclasses import dataclass
 
 from . import partition as pt
-from .errors import NoConvergence, SizeMismatch
+from .errors import NoConvergence
 
 MAX_SWEEPS = 64
 TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Adjacency:
-    """A symmetric 0/1 matrix with zero diagonal.  ``Adjacency(n, rows)``
-    checks that of its input; ``adjacency_of`` builds rows that are so by
-    construction and skips the check."""
-
-    n: int
-    rows: tuple  # tuple of tuples, symmetric 0/1 with zero diagonal
-
-    def __post_init__(self):
-        if len(self.rows) != self.n:
-            raise SizeMismatch("row count != n")
-        for i, row in enumerate(self.rows):
-            if len(row) != self.n:
-                raise SizeMismatch("matrix is not square")
-            if row[i] != 0:
-                raise SizeMismatch("nonzero diagonal entry")
-            for j, x in enumerate(row):
-                if x not in (0, 1):
-                    raise SizeMismatch("entries must be 0 or 1")
-                if x != self.rows[j][i]:
-                    raise SizeMismatch("matrix is not symmetric")
-
-    @property
-    def edge_count(self):
-        return sum(sum(row) for row in self.rows) // 2
-
-
 def adjacency_of(p):
-    """Adjacency matrix of a partition: (i,j)=1 iff i != j, same block.
-    One row per block with its diagonal entry cleared; no check."""
-    rep = p.rep
-    block_row = {r: [1 if s == r else 0 for s in rep] for r in set(rep)}
+    """Adjacency matrix of a partition, as a tuple of 0/1 rows: (i,j)=1 iff
+    i != j, same block.  One row per block with its diagonal entry
+    cleared, so the rows are symmetric with zero diagonal by construction."""
+    block_row = {r: [1 if s == r else 0 for s in p] for r in set(p)}
     rows = []
-    for i, r in enumerate(rep):
+    for i, r in enumerate(p):
         row = block_row[r]
         rows.append((*row[:i], 0, *row[i + 1:]))
-    m = object.__new__(Adjacency)
-    m.__dict__.update(n=p.n, rows=tuple(rows))
-    return m
+    return tuple(rows)
 
 
 def _off_norm(a, n):
@@ -71,15 +41,15 @@ def _off_norm(a, n):
     return math.sqrt(s)
 
 
-def spectrum(m):
-    """Eigenvalues of a symmetric 0/1 matrix, descending.
+def spectrum(rows):
+    """Eigenvalues of a symmetric 0/1 matrix, given by its rows, descending.
 
     Cyclic-by-row Jacobi sweeps; converged when the off-diagonal Frobenius
     norm drops below TOL*n.  The sweep cap is a defect detector: these
     matrices converge in a handful of sweeps.
     """
-    n = m.n
-    a = [[float(x) for x in row] for row in m.rows]
+    n = len(rows)
+    a = [[float(x) for x in row] for row in rows]
     for _ in range(MAX_SWEEPS):
         if _off_norm(a, n) < TOL * n:
             return sorted((a[i][i] for i in range(n)), reverse=True)
@@ -103,13 +73,13 @@ def spectrum(m):
     raise NoConvergence(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
 
 
-def spectral_energy(m):
-    return sum(abs(x) for x in spectrum(m))
+def spectral_energy(rows):
+    return sum(abs(x) for x in spectrum(rows))
 
 
 def combinatorial_energy(p):
     """Exact energy 2*(n - number of blocks)."""
-    return 2 * (p.n - pt.num_blocks(p))
+    return 2 * (len(p) - pt.num_blocks(p))
 
 
 def congruence_energy(c):

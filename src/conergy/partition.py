@@ -1,15 +1,13 @@
 """Set partitions (equivalence relations) on {0..n-1}.
 
-A partition has one form, its canonical rep tuple: ``rep[i]`` is the least
-element of the block containing ``i``.  Equal partitions are therefore
-bitwise-equal tuples, so they hash and dedup cleanly.  Only untrusted input
-is checked (``Partition(n, rep)``, as ``quotient --by`` builds it); the
-package's own producers (``from_labels``, ``bottom``, ``top``, ``join``,
-``join_pairs``, ``iter_partitions`` and Con's routes) make canonical rep
-tuples by construction and wrap them with ``_of``, unchecked.
+A partition is its canonical rep tuple: ``rep[i]`` is the least element of
+the block containing ``i``, and ``n`` is the tuple's length.  Equal
+partitions are therefore equal tuples, so they hash and dedup cleanly.
+Only untrusted input is checked, by ``checked(n, rep)``, as ``quotient
+--by`` calls it; the package's own producers (``from_labels``, ``bottom``,
+``top``, ``join``, ``meet``, ``join_pairs``, ``iter_partitions`` and Con's
+routes) make canonical rep tuples by construction.
 """
-
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, OutOfRange, SizeMismatch
 
@@ -17,76 +15,67 @@ from .errors import BudgetExceeded, OutOfRange, SizeMismatch
 ALL_PARTITIONS_BUDGET = 12
 
 
-@dataclass(frozen=True)
-class Partition:
-    n: int
-    rep: tuple
-
-    def __post_init__(self):
-        if self.n < 1 or len(self.rep) != self.n:
-            raise SizeMismatch(f"rep length {len(self.rep)} != n {self.n}")
-        for i, r in enumerate(self.rep):
-            if not (0 <= r <= i) or self.rep[r] != r:
-                raise SizeMismatch(f"rep {self.rep} is not in canonical form")
-
-    def blocks(self):
-        """Blocks as sorted tuples, ordered by least element."""
-        by_rep = {}
-        for i, r in enumerate(self.rep):
-            by_rep.setdefault(r, []).append(i)
-        return [tuple(by_rep[r]) for r in sorted(by_rep)]
+def checked(n, rep):
+    """The rep tuple, once it is checked to be a canonical partition of n
+    points."""
+    if n < 1 or len(rep) != n:
+        raise SizeMismatch(f"rep length {len(rep)} != n {n}")
+    for i, r in enumerate(rep):
+        if not (0 <= r <= i) or rep[r] != r:
+            raise SizeMismatch(f"rep {rep} is not in canonical form")
+    return rep
 
 
-def _of(n, rep):
-    """A Partition from a rep tuple canonical by construction: no check."""
-    p = object.__new__(Partition)
-    fields = p.__dict__
-    fields["n"], fields["rep"] = n, rep
-    return p
+def blocks(p):
+    """Blocks as sorted tuples, ordered by least element."""
+    by_rep = {}
+    for i, r in enumerate(p):
+        by_rep.setdefault(r, []).append(i)
+    return [tuple(by_rep[r]) for r in sorted(by_rep)]
 
 
 def from_labels(labels):
-    """Build a Partition from any block-labelling of 0..n-1 (normalizing)."""
+    """The partition of 0..n-1 with any block-labelling (normalizing)."""
     first = {}
     rep = tuple([first.setdefault(lab, i) for i, lab in enumerate(labels)])
     if not rep:
         raise SizeMismatch("a partition needs at least one label")
-    return _of(len(rep), rep)
+    return rep
 
 
 def bottom(n):
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
-    return _of(n, tuple(range(n)))
+    return tuple(range(n))
 
 
 def top(n):
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
-    return _of(n, (0,) * n)
+    return (0,) * n
 
 
 def num_blocks(p):
-    return len(set(p.rep))
+    return len(set(p))
 
 
 def heq(p):
     """Height of p in the equivalence lattice: n minus the block count."""
-    return p.n - num_blocks(p)
+    return len(p) - num_blocks(p)
 
 
 def leq(p, q):
     """Refinement order: every p-block is inside a q-block."""
-    if p.n != q.n:
-        raise SizeMismatch(f"universe sizes differ: {p.n} vs {q.n}")
-    return all(q.rep[i] == q.rep[p.rep[i]] for i in range(p.n))
+    if len(p) != len(q):
+        raise SizeMismatch(f"universe sizes differ: {len(p)} vs {len(q)}")
+    return all(q[i] == q[r] for i, r in enumerate(p))
 
 
 def meet(p, q):
     """Common refinement: blocks are intersections of blocks."""
-    if p.n != q.n:
-        raise SizeMismatch(f"universe sizes differ: {p.n} vs {q.n}")
-    return from_labels(list(zip(p.rep, q.rep)))
+    if len(p) != len(q):
+        raise SizeMismatch(f"universe sizes differ: {len(p)} vs {len(q)}")
+    return from_labels(list(zip(p, q)))
 
 
 def union_find(parent, pairs, translations=()):
@@ -129,10 +118,9 @@ def union_find(parent, pairs, translations=()):
 def join(p, q):
     """Transitive closure of the union: p's rep array is already a forest,
     so only q's non-trivial pairs are added."""
-    if p.n != q.n:
-        raise SizeMismatch(f"universe sizes differ: {p.n} vs {q.n}")
-    rep = union_find(list(p.rep), [(i, r) for i, r in enumerate(q.rep) if r != i])
-    return _of(p.n, rep)
+    if len(p) != len(q):
+        raise SizeMismatch(f"universe sizes differ: {len(p)} vs {len(q)}")
+    return union_find(list(p), [(i, r) for i, r in enumerate(q) if r != i])
 
 
 def join_pairs(n, pairs, translations=()):
@@ -147,7 +135,7 @@ def join_pairs(n, pairs, translations=()):
             raise OutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
     if n < 1:
         raise SizeMismatch(f"a partition needs n >= 1, got {n}")
-    return _of(n, union_find(list(range(n)), pairs, translations))
+    return union_find(list(range(n)), pairs, translations)
 
 
 def iter_partitions(n):
@@ -169,7 +157,7 @@ def _restricted_growth_strings(n):
     entry runs through its labels in an inner loop: the last element joins
     each block of the head in turn, and then stands alone."""
     if n == 1:
-        yield _of(1, (0,))
+        yield (0,)
         return
     m = n - 1  # the head's length
     rgs = [0] * m
@@ -178,8 +166,8 @@ def _restricted_growth_strings(n):
     head = (0,) * m
     while True:
         for r in first[: most[-1] + 1]:
-            yield _of(n, head + (r,))
-        yield _of(n, head + (m,))
+            yield head + (r,)
+        yield head + (m,)
         i = m - 1
         while i and rgs[i] > most[i - 1]:
             i -= 1

@@ -97,7 +97,7 @@ def test_conlat_hasse_matches_scan(tmp_path, capsys):
         path.write_text(json.dumps(lat.to_json_dict()))
         code, doc = run_json(capsys, ["conlat", str(path)])
         assert code == cli.EXIT_OK
-        members = [pt.Partition(lat.n, tuple(m)) for m in doc["members"]]
+        members = [pt.checked(lat.n, tuple(m)) for m in doc["members"]]
         assert doc["hasse"] == scanned_hasse(members)
         # distributive, boolean and atoms come from J by theorem; compare
         # them with the verdicts of the members' own join-closure, which
@@ -295,7 +295,7 @@ def congruence_reps(max_n):
     """The rep of each congruence of each lattice of order n <= max_n, one
     entry per occurrence, from the brute-force congruence filter."""
     return [
-        m.rep
+        m
         for n in range(1, max_n + 1)
         for lat in em.all_lattices(n)
         for m in cg.brute_force_congruences(lat)
@@ -322,7 +322,7 @@ def test_remark1_compares_every_member_and_solves_each_shape_once(monkeypatch):
     def spectral_energy(m):
         # a vertex of a clique K_b has degree b - 1: the block sizes, each b
         # listed b times
-        sizes = tuple(sorted(sum(row) + 1 for row in m.rows))
+        sizes = tuple(sorted(sum(row) + 1 for row in m))
         calls.append(sizes)
         return -1.0 if sizes == tuple(sorted(b for b in bad for _ in range(b))) else real(m)
 
@@ -349,7 +349,7 @@ def test_one_shape_has_one_spectral_energy():
     for n in range(1, 8):
         by_shape = {}
         for p in pt.all_partitions(n):
-            by_shape.setdefault(shape_of(p.rep), []).append(en.spectral_energy(en.adjacency_of(p)))
+            by_shape.setdefault(shape_of(p), []).append(en.spectral_energy(en.adjacency_of(p)))
         for energies in by_shape.values():
             assert max(energies) - min(energies) < 1e-9
 

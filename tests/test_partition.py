@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from conergy import algebra as alg
+from conergy import congruence as cg
+from conergy import enumeration as em
 from conergy import partition as pt
 from conergy.errors import BudgetExceeded, OutOfRange, SizeMismatch
 
@@ -31,8 +34,8 @@ def brute_partitions(n):
 def test_bottom_top():
     b = pt.bottom(3)
     t = pt.top(3)
-    assert b.blocks() == [(0,), (1,), (2,)]
-    assert t.blocks() == [(0, 1, 2)]
+    assert pt.blocks(b) == [(0,), (1,), (2,)]
+    assert pt.blocks(t) == [(0, 1, 2)]
     assert pt.num_blocks(b) == 3 and pt.num_blocks(t) == 1
     assert pt.heq(b) == 0
     assert pt.heq(t) == 2
@@ -41,7 +44,7 @@ def test_bottom_top():
 
 def test_equ_pair():
     p = pt.join_pairs(4, [(1, 2)])
-    assert p.blocks() == [(0,), (1, 2), (3,)]
+    assert pt.blocks(p) == [(0,), (1, 2), (3,)]
     assert pt.join_pairs(4, [(2, 2)]) == pt.bottom(4)
     assert pt.join_pairs(4, [(2, 1)]) == p
     for a, b in [(0, 1), (1, 3), (0, 3)]:
@@ -55,15 +58,15 @@ def test_canonical_form_is_idempotent():
     for _ in range(200):
         n = rng.randint(1, 8)
         p = pt.from_labels([rng.randint(0, n - 1) for _ in range(n)])
-        assert pt.from_labels(p.rep) == p
-        pt.Partition(p.n, p.rep)  # canonical form passes validation
+        assert pt.from_labels(p) == p
+        pt.checked(len(p), p)  # canonical form passes validation
 
 
 def test_noncanonical_rep_rejected():
     with pytest.raises(SizeMismatch):
-        pt.Partition(3, (1, 1, 2))
+        pt.checked(3, (1, 1, 2))
     with pytest.raises(SizeMismatch):
-        pt.Partition(2, (0, 0, 0))
+        pt.checked(2, (0, 0, 0))
 
 
 def test_join_meet_examples():
@@ -71,7 +74,7 @@ def test_join_meet_examples():
     assert pt.join(p, pt.bottom(5)) == p
     assert pt.meet(p, pt.top(5)) == p
     j = pt.join(pt.join_pairs(4, [(0, 1)]), pt.join_pairs(4, [(1, 2)]))
-    assert j.blocks() == [(0, 1, 2), (3,)]
+    assert pt.blocks(j) == [(0, 1, 2), (3,)]
     assert pt.num_blocks(p) == 3 and pt.heq(p) == 2
     with pytest.raises(SizeMismatch):
         pt.join(pt.bottom(3), pt.bottom(4))
@@ -121,7 +124,7 @@ def test_all_partitions_counts():
 
 def test_all_partitions_matches_brute_enumeration():
     for n in range(1, 7):
-        got = sorted(p.rep for p in pt.all_partitions(n))
+        got = sorted(pt.all_partitions(n))
         assert got == brute_partitions(n)
         assert len(got) == len(set(got))
 
@@ -130,7 +133,7 @@ def growth_string(p):
     """The restricted growth string of p: each element's block numbered by
     the order of the blocks' least elements."""
     labels = {}
-    return tuple(labels.setdefault(r, len(labels)) for r in p.rep)
+    return tuple(labels.setdefault(r, len(labels)) for r in p)
 
 
 def test_iter_partitions_streams_the_list_in_growth_string_order():
@@ -164,7 +167,7 @@ def test_covering_criterion():
 
 def test_serialized_rep_example():
     p = pt.from_labels(["a", "a", "b", "b", "c"])
-    assert list(p.rep) == [0, 0, 2, 2, 4]
+    assert list(p) == [0, 0, 2, 2, 4]
 
 
 def test_union_find_reps_match_component_labelling():
@@ -185,13 +188,13 @@ def test_union_find_reps_match_component_labelling():
                 if labels[a] != low or labels[b] != low:
                     labels[a] = labels[b] = low
                     changed = True
-        want = pt.from_labels(labels).rep
+        want = pt.from_labels(labels)
         assert pt.union_find(list(parent), pairs) == want
 
 
 def old_iter_partitions(n):
     """The restricted growth strings in lexicographic order, each turned
-    into a Partition by from_labels."""
+    into a partition by from_labels."""
     rgs = [0] * n
     most = [0] * n
     while True:
@@ -214,8 +217,10 @@ def test_iter_partitions_equals_from_labels_per_growth_string():
 
 
 def checked(p):
-    """The checked constructor accepts p, and gives p back."""
-    assert pt.Partition(p.n, p.rep) == p
+    """p is a plain tuple, which the checked constructor accepts and gives
+    back unchanged."""
+    assert type(p) is tuple
+    assert pt.checked(len(p), p) == p
     return p
 
 
@@ -223,8 +228,23 @@ def test_checked_constructor_accepts_what_the_package_builds():
     for n in range(1, 9):
         for p in pt.iter_partitions(n):
             checked(p)
+        for p in pt.all_partitions(n):
+            checked(p)
         checked(pt.bottom(n))
         checked(pt.top(n))
+    for n in range(1, 7):
+        partitions = pt.all_partitions(n)
+        for lat in em.all_lattices(n):
+            con = cg.all_congruences(lat)
+            for p in con.members + cg.brute_force_congruences(lat, partitions):
+                checked(p)
+            for a, b in lat.covers:
+                checked(cg.principal_congruence(lat, a, b))
+            principal = alg.principal_congruences(alg.lattice_as_algebra(lat))
+            for p in principal.values():
+                checked(p)
+            for p in cg.join_closure(n, principal.values()).members:
+                checked(p)
     rng = random.Random(2026)
     for _ in range(500):
         n = rng.randint(1, 9)
@@ -242,4 +262,4 @@ def test_empty_input_is_still_refused():
     with pytest.raises(SizeMismatch):
         pt.join_pairs(0, [])
     with pytest.raises(SizeMismatch):
-        pt.Partition(0, ())
+        pt.checked(0, ())
