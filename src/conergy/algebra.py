@@ -114,7 +114,7 @@ def principal_congruences(alg):
     congruences = {}
     for row in reach:
         if row not in congruences:
-            congruences[row] = pt.join_pairs(n, [pairs[k] for k in lt._bits(row)])
+            congruences[row] = pt.union_find(list(range(n)), [pairs[k] for k in lt._bits(row)])
     return {pair: congruences[row] for pair, row in zip(pairs, reach)}
 
 

@@ -1,5 +1,7 @@
 """Batch front end: load lattices from JSON or builder specs, run the
-energy/congruence/enumeration computations, emit JSON reports.
+energy/congruence/enumeration computations, emit JSON reports.  Each
+verification suite, and the oracle, is a stream of (line, passed) checks,
+from which ``_emit_checks`` alone derives the report and its exit code.
 
 Exit codes: 0 success/verified, 1 verification counterexample, 2 input
 error, 3 budget exceeded, 4 internal error (a bug, never a verdict).
@@ -237,7 +239,7 @@ def cmd_table(args):
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: a failure line passes False, a summary line True
 
 
 def suite_remark1(max_n):
@@ -248,8 +250,6 @@ def suite_remark1(max_n):
     sizes: within one call the solver runs once per such shape, and each
     rep keeps both energies.  Every member is compared and reported alone."""
     _within(max_n, enum_mod.ENUMERATION_BUDGET, "--n")
-    details = []
-    ok = True
     energies, by_shape = {}, {}
     for n, lattices in enumerate(enum_mod.all_lattices_by_order(max_n), 1):
         for lat in lattices:
@@ -262,30 +262,21 @@ def suite_remark1(max_n):
                     se_ce = energies[m] = by_shape[shape], en.combinatorial_energy(m)
                 se, ce = se_ce
                 if abs(se - ce) >= 1e-9:
-                    ok = False
-                    details.append(f"n={n} rep={m}: spectral {se} vs exact {ce}")
-    details.append(f"checked all congruences of all iso classes up to n={max_n}")
-    return ok, details
+                    yield f"n={n} rep={m}: spectral {se} vs exact {ce}", False
+    yield f"checked all congruences of all iso classes up to n={max_n}", True
 
 
 def _report_suite(key, max_n, first_n=1):
     _within(max_n, enum_mod.ENUMERATION_BUDGET, "--n")
-    details = []
-    ok = True
-    for n, report in enumerate(enum_mod.extremal_reports(max_n, first_n), first_n):
+    for report in enum_mod.extremal_reports(max_n, first_n):
         verdict = report["verdicts"][key]
-        details.append(f"n={n}: {verdict}")
-        if verdict.startswith("fails"):
-            ok = False
-    return ok, details
+        yield f"n={report['n']}: {verdict}", not verdict.startswith("fails")
 
 
 def suite_pentagon(max_k):
     # Con of the order-k family has 5 * 2^(k-5) members: the bound is the
     # largest k with 5 * 2^(k-5) <= CON_BUDGET, found without the power
     _within(max_k, 4 + (cg.CON_BUDGET // 5).bit_length(), "pentagon --n")
-    details = []
-    ok = True
     for k in range(5, max_k + 1):
         want_ce = ct.g_pn(k)
         want_con = 5 * 2 ** (k - 5)
@@ -293,52 +284,61 @@ def suite_pentagon(max_k):
             energies = cg.congruence_energies(lat)
             ce, con_size = sum(energies), len(energies)
             if ce != want_ce or con_size != want_con:
-                ok = False
-                details.append(f"k={k} placement {i}: ce={ce} con={con_size}")
-        details.append(f"k={k}: ce={want_ce} con={want_con} for every placement")
-    return ok, details
+                yield f"k={k} placement {i}: ce={ce} con={con_size}", False
+        yield f"k={k}: ce={want_ce} con={want_con} for every placement", True
 
 
 def suite_bounds(max_n):
-    details = []
-    ok = True
     for n, want in zip(range(1, 11), EQU_BOUND_TABLE):
         got = ct.equ_energy_bound(n)
         if got != want:
-            ok = False
-            details.append(f"n={n}: table value {got} != {want}")
+            yield f"n={n}: table value {got} != {want}", False
     for n in range(1, min(max_n, 8) + 1):
         direct = sum(map(en.combinatorial_energy, pt.iter_partitions(n)))
         if direct != ct.equ_energy_bound(n):
-            ok = False
-            details.append(f"n={n}: direct sum {direct} != bound")
-    details.append(f"table 1..10 and direct sums up to n={min(max_n, 8)} verified")
-    return ok, details
+            yield f"n={n}: direct sum {direct} != bound", False
+    yield f"table 1..10 and direct sums up to n={min(max_n, 8)} verified", True
 
 
 def suite_aux(max_n=20):
     _within(max_n, AUX_BUDGET, "aux --n")
-    details = []
-    ok = True
     for n in range(3, max_n + 1):
         for x in range(1, n - 1):
             w = ct.aux_w(n, x)
             if w != ct.aux_w_factored(n, x) or w < 0 or (w == 0) != (x == 1):
-                ok = False
-                details.append(f"w({n},{x}) = {w}")
+                yield f"w({n},{x}) = {w}", False
     for n in range(5, max_n + 1):
         if ct.aux_u(n, 1) != 0:
-            ok = False
-            details.append(f"u_{n}(1) != 0")
+            yield f"u_{n}(1) != 0", False
         for x in range(2, n - 1):
             if ct.aux_u(n, x) <= 0:
-                ok = False
-                details.append(f"u_{n}({x}) <= 0")
+                yield f"u_{n}({x}) <= 0", False
             if ct.aux_v(n, x) <= 0:
-                ok = False
-                details.append(f"v_{n}({x}) <= 0")
-    details.append(f"auxiliary sign checks verified up to n={max_n}")
-    return ok, details
+                yield f"v_{n}({x}) <= 0", False
+    yield f"auxiliary sign checks verified up to n={max_n}", True
+
+
+def oracle_checks(n):
+    """The lattice classes and each one's Con against their brute-force
+    routes up to n = 6, and the partitions against Bell and 2-Bell."""
+    if n <= 6:
+        fast = enum_mod.all_lattices(n)
+        brute = enum_mod.all_lattices_brute(n)
+        yield f"lattice classes: generator {len(fast)}, oracle {len(brute)}", len(fast) == len(brute)
+        partitions = pt.all_partitions(n)
+        for lat in fast:
+            if cg.all_congruences(lat).members != cg.brute_force_congruences(lat, partitions):
+                yield f"congruence mismatch on {lat.covers}", False
+        yield "congruence lattices match the brute-force filter", True
+    else:
+        yield "lattice/congruence oracles limited to n <= 6; skipped", True
+        partitions = pt.iter_partitions(n)
+    count = blocks = 0
+    for p in partitions:
+        count += 1
+        blocks += pt.num_blocks(p)
+    yield f"partitions: {count} (bell {ct.bell(n)})", count == ct.bell(n)
+    yield f"block-weighted count: {blocks} (2-bell {ct.bell2(n)})", blocks == ct.bell2(n)
 
 
 SUITES = {
@@ -352,46 +352,24 @@ SUITES = {
 }
 
 
+def _emit_checks(head, checks, out):
+    """Read the stream of (line, passed) checks to its end, so that one
+    that raises emits nothing, then emit head with the lines as "details"
+    and "ok" true iff every check passed; that verdict is the exit code."""
+    checks = list(checks)
+    ok = all(passed for _, passed in checks)
+    _emit({**head, "ok": ok, "details": [line for line, _ in checks]}, out)
+    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
+
+
 def cmd_verify(args):
     fn, default_n = SUITES[args.suite]
-    ok, details = fn(_at_least_one(default_n if args.n is None else args.n, "--n"))
-    _emit({"suite": args.suite, "ok": ok, "details": details}, args.out)
-    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
+    n = _at_least_one(default_n if args.n is None else args.n, "--n")
+    return _emit_checks({"suite": args.suite}, fn(n), args.out)
 
 
 def cmd_oracle(args):
-    n = args.n
-    details = []
-    ok = True
-    if n <= 6:
-        fast = enum_mod.all_lattices(n)
-        brute = enum_mod.all_lattices_brute(n)
-        if len(fast) != len(brute):
-            ok = False
-        details.append(f"lattice classes: generator {len(fast)}, oracle {len(brute)}")
-        partitions = pt.all_partitions(n)
-        for lat in fast:
-            a = cg.all_congruences(lat).members
-            b = cg.brute_force_congruences(lat, partitions)
-            if a != b:
-                ok = False
-                details.append(f"congruence mismatch on {lat.covers}")
-        details.append("congruence lattices match the brute-force filter")
-    else:
-        details.append("lattice/congruence oracles limited to n <= 6; skipped")
-        partitions = pt.iter_partitions(n)
-    count = blocks = 0
-    for p in partitions:
-        count += 1
-        blocks += pt.num_blocks(p)
-    if count != ct.bell(n):
-        ok = False
-    details.append(f"partitions: {count} (bell {ct.bell(n)})")
-    if blocks != ct.bell2(n):
-        ok = False
-    details.append(f"block-weighted count: {blocks} (2-bell {ct.bell2(n)})")
-    _emit({"n": n, "ok": ok, "details": details}, args.out)
-    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
+    return _emit_checks({"n": args.n}, oracle_checks(args.n), args.out)
 
 
 @functools.cache

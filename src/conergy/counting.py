@@ -4,9 +4,10 @@ lattice energy ceiling, and the auxiliary difference functions evaluated at
 integer arguments.
 
 Everything here is exact: arbitrary-precision integers, and Fractions only
-where a value is rational (g_pn(4) = 17/2, g_sb below 3).  The auxiliary
-functions are integers built from g_sb(2) = 3/2, so they run on 8 g_sb,
-an integer, and divide by 8 at the end.
+where a value is rational (g_pn(4) = 17/2).  g_sb is not an integer below
+3, so it refuses n < 3; the auxiliary functions are integers built from
+g_sb(2) = 3/2, so they run on 8 g_sb, an integer for every n >= 1, and
+divide by 8 at the end.
 """
 
 from fractions import Fraction
@@ -23,13 +24,14 @@ def g_max(n):
 
 
 def g_sb(n):
-    """(n-1) * 2^(n-2) + 2^(n-3): the second-largest congruence energy.
+    """(n-1) * 2^(n-2) + 2^(n-3) = (2n-1) * 2^(n-3): the second-largest
+    congruence energy.
 
     Not an integer below n = 3, so that is the domain boundary.
     """
     if n < 3:
         raise DomainError(f"g_sb needs n >= 3, got {n}")
-    return int((n - 1) * Fraction(2) ** (n - 2) + Fraction(2) ** (n - 3))
+    return (2 * n - 1) * 2 ** (n - 3)
 
 
 def g_pn(k):

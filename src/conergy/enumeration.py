@@ -145,11 +145,13 @@ def _keyed_orders(n, fold, first=1):
     class of meet semilattices, and adding a top is a bijection onto the
     lattices of order m: with a top, they are the last level of the walk
     to m, the same classes in the same order with the same children, each
-    labelled once more for its key."""
+    labelled once more for its key.  With first > n there are none."""
     if n < 1:
         raise DomainError(f"all_lattices needs n >= 1, got {n}")
     if n > ENUMERATION_BUDGET:
         raise BudgetExceeded(f"all_lattices limited to n <= {ENUMERATION_BUDGET}")
+    if first > n:
+        return []
     orders = []
     for lat in map(lt.chain, range(first, min(n, 2) + 1)):
         key = lt.canonical_form(lat)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conergy import cli
 from conergy import congruence as cg
+from conergy import counting as ct
 from conergy import energy as en
 from conergy import enumeration as em
 from conergy import lattice as lt
@@ -291,6 +292,151 @@ def test_verify_suites_pass(capsys, suite, n):
     assert doc["suite"] == suite
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_thm_c_below_order_4_checks_nothing(capsys, n):
+    # theorem C starts at order 4: no smaller lattice is checked against
+    # the order-4 formulas
+    code, doc = run_json(capsys, ["verify", "--suite", "thm-c", "--n", str(n)])
+    assert code == cli.EXIT_OK
+    assert doc == {"suite": "thm-c", "ok": True, "details": []}
+
+
+def _plus_one_at(bad):
+    return lambda real: lambda n: real(n) + (n == bad)
+
+
+# (faults as (module, name, wrap of the real function), argv, head, the
+# whole details list): every failure line of every suite but remark1 and
+# of oracle, beside the summary lines that still pass
+FAULTS = {
+    "thm-b": (
+        [(ct, "g_max", _plus_one_at(5))],
+        ["verify", "--suite", "thm-b"],
+        {"suite": "thm-b"},
+        [*(f"n={n}: holds" for n in range(1, 5)), "n=5: fails: chain is not the unique maximizer", "n=6: holds"],
+    ),
+    "thm-c": (
+        [(ct, "g_sb", _plus_one_at(5))],
+        ["verify", "--suite", "thm-c"],
+        {"suite": "thm-c"},
+        ["n=4: holds", "n=5: fails: g_sb witness sets differ", "n=6: holds"],
+    ),
+    "manycon": (
+        # the 5-element chain counts one antichain pair, so it is no chain
+        [(lt, "count_two_element_antichains", lambda real: lambda lat: real(lat) or int(lat.n == 5))],
+        ["verify", "--suite", "manycon"],
+        {"suite": "manycon"},
+        [*(f"n={n}: holds" for n in range(1, 5)), "n=5: fails: congruence-count bounds violated", "n=6: holds"],
+    ),
+    "pentagon": (
+        [(ct, "g_pn", _plus_one_at(7))],
+        ["verify", "--suite", "pentagon", "--n", "8"],
+        {"suite": "pentagon"},
+        [
+            "k=5: ce=22 con=5 for every placement",
+            "k=6: ce=54 con=10 for every placement",
+            *(f"k=7 placement {i}: ce=128 con=20" for i in (1, 2, 3)),
+            "k=7: ce=129 con=20 for every placement",
+            "k=8: ce=296 con=40 for every placement",
+        ],
+    ),
+    "bounds": (
+        [(ct, "equ_energy_bound", _plus_one_at(3))],
+        ["verify", "--suite", "bounds"],
+        {"suite": "bounds"},
+        [
+            "n=3: table value 11 != 10",
+            "n=3: direct sum 10 != bound",
+            "table 1..10 and direct sums up to n=8 verified",
+        ],
+    ),
+    "aux": (
+        [
+            (ct, "aux_w_factored", lambda real: lambda n, x: real(n, x) + ((n, x) == (6, 2))),
+            (ct, "aux_u", lambda real: lambda n, x: 1 - real(n, x) if (n, x) in ((7, 1), (7, 3)) else real(n, x)),
+            (ct, "aux_v", lambda real: lambda n, x: -real(n, x) if (n, x) == (8, 2) else real(n, x)),
+        ],
+        ["verify", "--suite", "aux", "--n", "8"],
+        {"suite": "aux"},
+        ["w(6,2) = 64", "u_7(1) != 0", "u_7(3) <= 0", "v_8(2) <= 0", "auxiliary sign checks verified up to n=8"],
+    ),
+    "oracle-classes": (
+        [(em, "all_lattices_brute", lambda real: lambda n: real(n)[:-1])],
+        ["oracle", "--n", "5"],
+        {"n": 5},
+        [
+            "lattice classes: generator 5, oracle 4",
+            "congruence lattices match the brute-force filter",
+            "partitions: 52 (bell 52)",
+            "block-weighted count: 151 (2-bell 151)",
+        ],
+    ),
+    "oracle-congruences": (
+        # B4's brute-force list loses its bottom
+        [
+            (
+                cg,
+                "brute_force_congruences",
+                lambda real: lambda lat, ps: real(lat, ps)[lt.count_two_element_antichains(lat) :],
+            )
+        ],
+        ["oracle", "--n", "4"],
+        {"n": 4},
+        [
+            "lattice classes: generator 2, oracle 2",
+            "congruence mismatch on ((0, 1), (0, 2), (1, 3), (2, 3))",
+            "congruence lattices match the brute-force filter",
+            "partitions: 15 (bell 15)",
+            "block-weighted count: 37 (2-bell 37)",
+        ],
+    ),
+    "oracle-bell": (
+        [(ct, "bell", lambda real: lambda n: real(n) + 1)],
+        ["oracle", "--n", "5"],
+        {"n": 5},
+        [
+            "lattice classes: generator 5, oracle 5",
+            "congruence lattices match the brute-force filter",
+            "partitions: 52 (bell 53)",
+            "block-weighted count: 151 (2-bell 151)",
+        ],
+    ),
+    "oracle-bell2": (
+        # above n = 6 the partitions stream, and only the counts are checked
+        [(ct, "bell2", lambda real: lambda n: real(n) - 1)],
+        ["oracle", "--n", "7"],
+        {"n": 7},
+        [
+            "lattice/congruence oracles limited to n <= 6; skipped",
+            "partitions: 877 (bell 877)",
+            "block-weighted count: 3263 (2-bell 3262)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULTS))
+def test_an_injected_fault_is_a_counterexample_with_every_line(capsys, monkeypatch, case):
+    faults, argv, head, details = FAULTS[case]
+    for module, name, wrap in faults:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    code, doc = run_json(capsys, argv)
+    assert code == cli.EXIT_COUNTEREXAMPLE
+    assert doc == {**head, "ok": False, "details": details}
+
+
+def test_a_check_that_raises_after_others_passed_prints_no_report(capsys, monkeypatch):
+    def bell(n):
+        raise RuntimeError("bell")
+
+    # the lattice and congruence lines come first, then bell raises
+    monkeypatch.setattr(ct, "bell", bell)
+    code, out, err = run(capsys, ["oracle", "--n", "4"])
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert "internal-error: RuntimeError: bell" in err
+
+
 def congruence_reps(max_n):
     """The rep of each congruence of each lattice of order n <= max_n, one
     entry per occurrence, from the brute-force congruence filter."""
@@ -327,9 +473,10 @@ def test_remark1_compares_every_member_and_solves_each_shape_once(monkeypatch):
         return -1.0 if sizes == tuple(sorted(b for b in bad for _ in range(b))) else real(m)
 
     monkeypatch.setattr(en, "spectral_energy", spectral_energy)
-    ok, details = cli.suite_remark1(6)
-    assert ok is False
-    failures = [d for d in details if " rep=" in d]
+    checks = list(cli.suite_remark1(6))
+    assert not all(passed for _, passed in checks)
+    failures = [line for line, passed in checks if not passed]
+    assert failures == [line for line, _ in checks if " rep=" in line]
     want = [
         f"n={len(rep)} rep={rep}: spectral -1.0 vs exact {2 * (len(rep) - len(set(rep)))}"
         for rep in occurrences
@@ -339,7 +486,7 @@ def test_remark1_compares_every_member_and_solves_each_shape_once(monkeypatch):
     assert failures == want
     assert len(calls) == len(set(calls)) == len(shapes)
     # the cache lives for one call only: a second call solves every shape again
-    cli.suite_remark1(6)
+    list(cli.suite_remark1(6))
     assert len(calls) == 2 * len(shapes)
 
 

@@ -19,8 +19,13 @@ def test_g_max_values():
 def test_g_sb_values():
     assert ct.g_sb(4) == 14
     assert ct.g_sb(5) == 36
-    with pytest.raises(DomainError):
-        ct.g_sb(2)
+    for n in range(3, 61):
+        got = ct.g_sb(n)
+        assert type(got) is int
+        assert got == (n - 1) * Fraction(2) ** (n - 2) + Fraction(2) ** (n - 3)
+    for n in (2, 1, 0, -1):
+        with pytest.raises(DomainError):
+            ct.g_sb(n)
 
 
 def test_g_sb_recursion():

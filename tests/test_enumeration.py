@@ -738,6 +738,24 @@ def test_one_walk_gives_every_order_as_its_own_walk_does():
         assert [list(found.items()) for found in orders] == [alone[m] for m in range(1, n + 1)]
 
 
+def test_the_walk_from_first_gives_exactly_the_orders_first_to_n():
+    def order(key, lat):
+        return lat.n
+
+    for n in range(1, 9):
+        for first in range(1, n + 1):
+            orders = em._keyed_orders(n, order, first)
+            assert len(orders) == n - first + 1
+            assert [set(found.values()) for found in orders] == [{m} for m in range(first, n + 1)]
+            assert [len(found) for found in orders] == [KNOWN_COUNTS[m] for m in range(first, n + 1)]
+    # past n, none: no order-n lattice is labelled as order first
+    for n in range(1, 7):
+        for first in range(n + 1, n + 4):
+            assert em._keyed_orders(n, order, first) == []
+            assert em.all_lattices_by_order(n, first) == []
+            assert em.extremal_reports(n, first) == []
+
+
 def test_enumerate_folds_only_its_own_order(workers, monkeypatch, capsys):
     workers(1)
     folded = []
