@@ -76,17 +76,6 @@ class CongruenceLattice:
     def __len__(self):
         return len(self.members)
 
-    def __contains__(self, p):
-        return p in set(self.members)
-
-    @property
-    def bottom(self):
-        return pt.bottom(self.host_n)
-
-    @property
-    def top(self):
-        return pt.top(self.host_n)
-
     def atoms(self):
         """The members with one member of J below them: an atom is
         join-irreducible, and a minimal member of J is an atom."""

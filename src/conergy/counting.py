@@ -89,13 +89,6 @@ def _g_sb8(m):
     return (2 * m - 1) << m
 
 
-def _eighth(x8, what):
-    """x8 / 8, which must be an integer."""
-    if x8 % 8:
-        raise DomainError(f"{what} is not an integer: {Fraction(x8, 8)}")
-    return x8 // 8
-
-
 def aux_w(n, x):
     """g_max(n) minus the induction-step upper bound with an atom of
     height x; nonnegative on 1 <= x <= n-2 and zero only at x = 1."""
@@ -112,16 +105,17 @@ def aux_w_factored(n, x):
 
 
 def aux_u(n, x):
-    """g_sb(n) minus the non-chain-quotient induction bound at height x."""
+    """g_sb(n) minus the non-chain-quotient induction bound at height x.
+    The division by 8 is exact: each term of 8 aux_u has the factor 2^n,
+    n >= 3, or 2^(n-x+1), n - x >= 2."""
     if n < 3 or not 1 <= x <= n - 2:
         raise DomainError(f"aux_u needs n >= 3 and 1 <= x <= n-2, got n={n}, x={x}")
-    val8 = _g_sb8(n) - (2 * _g_sb8(n - x) + (4 * x - 2) * 2 ** (n - x + 1))
-    return _eighth(val8, f"aux_u({n},{x})")
+    return (_g_sb8(n) - (2 * _g_sb8(n - x) + (4 * x - 2) * 2 ** (n - x + 1))) // 8
 
 
 def aux_v(n, x):
-    """g_sb(n) minus the chain-quotient induction bound at height x."""
+    """g_sb(n) minus the chain-quotient induction bound at height x; 8
+    aux_v is a multiple of 8 for the same reason as 8 aux_u."""
     if n < 4 or not 2 <= x <= n - 2:
         raise DomainError(f"aux_v needs n >= 4 and 2 <= x <= n-2, got n={n}, x={x}")
-    val8 = _g_sb8(n) - (2 * _g_sb8(n - x) + (4 * x - 2) * 2 ** (n - x + 2))
-    return _eighth(val8, f"aux_v({n},{x})")
+    return (_g_sb8(n) - (2 * _g_sb8(n - x) + (4 * x - 2) * 2 ** (n - x + 2))) // 8

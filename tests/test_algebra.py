@@ -247,7 +247,7 @@ def test_join_closure_down_sets_and_order_follow_the_partition_order():
         jis = [
             m for m in con.members
             if m != functools.reduce(
-                pt.join, [p for p in con.members if p != m and pt.leq(p, m)], con.bottom
+                pt.join, [p for p in con.members if p != m and pt.leq(p, m)], pt.bottom(con.host_n)
             )
         ]
         named = {down[j].bit_length() - 1: j for j in jis}
@@ -277,8 +277,8 @@ def test_xor_algebra_con_is_diamond():
     assert len(ats) == 3
     for i, a in enumerate(ats):
         for b in ats[i + 1:]:
-            assert pt.join(a, b) == con.top
-            assert pt.meet(a, b) == con.bottom
+            assert pt.join(a, b) == pt.top(con.host_n)
+            assert pt.meet(a, b) == pt.bottom(con.host_n)
 
 
 def test_unary_big_algebra_con_holds_a_diamond():
@@ -310,7 +310,7 @@ def test_constants_force_simplicity():
     # unary constants alone do not split anything; add a discriminating op
     swap = alg.Operation("swap", 1, (1, 0, 3, 2))
     rich = alg.FiniteAlgebra(4, constants_algebra(4).ops + (swap,))
-    assert pt.bottom(4) in con and pt.top(4) in con
+    assert pt.bottom(4) in con.members and pt.top(4) in con.members
     assert len(alg.all_congruences_alg(rich)) <= len(con)
 
 

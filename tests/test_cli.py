@@ -305,6 +305,10 @@ def _plus_one_at(bad):
     return lambda real: lambda n: real(n) + (n == bad)
 
 
+def _no_b4_shape_at(bad):
+    return lambda real: lambda lat: None if lat.n == bad and real(lat) == (4, 4) else real(lat)
+
+
 # (faults as (module, name, wrap of the real function), argv, head, the
 # whole details list): every failure line of every suite but remark1 and
 # of oracle, beside the summary lines that still pass
@@ -327,6 +331,33 @@ FAULTS = {
         ["verify", "--suite", "manycon"],
         {"suite": "manycon"},
         [*(f"n={n}: holds" for n in range(1, 5)), "n=5: fails: congruence-count bounds violated", "n=6: holds"],
+    ),
+    # faults in single classes: every lattice counts one antichain pair too
+    # many, so no lattice is a chain; the glued-B4 classes of order 6 lose
+    # their shape
+    "thm-b-antichains": (
+        [(lt, "count_two_element_antichains", lambda real: lambda lat: real(lat) + 1)],
+        ["verify", "--suite", "thm-b", "--n", "6"],
+        {"suite": "thm-b"},
+        [f"n={n}: fails: chain is not the unique maximizer" for n in range(1, 7)],
+    ),
+    "manycon-antichains": (
+        [(lt, "count_two_element_antichains", lambda real: lambda lat: real(lat) + 1)],
+        ["verify", "--suite", "manycon", "--n", "6"],
+        {"suite": "manycon"},
+        [f"n={n}: fails: congruence-count bounds violated" for n in range(1, 7)],
+    ),
+    "thm-c-shape": (
+        [(em, "_core_shape", _no_b4_shape_at(6))],
+        ["verify", "--suite", "thm-c", "--n", "7"],
+        {"suite": "thm-c"},
+        ["n=4: holds", "n=5: holds", "n=6: fails: g_sb witness sets differ", "n=7: holds"],
+    ),
+    "manycon-shape": (
+        [(em, "_core_shape", _no_b4_shape_at(6))],
+        ["verify", "--suite", "manycon", "--n", "7"],
+        {"suite": "manycon"},
+        [*(f"n={n}: holds" for n in range(1, 6)), "n=6: fails: congruence-count bounds violated", "n=7: holds"],
     ),
     "pentagon": (
         [(ct, "g_pn", _plus_one_at(7))],

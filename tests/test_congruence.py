@@ -441,7 +441,7 @@ def forbidden_sublattice_scan(c):
 def complemented(c):
     """Oracle: every member has a complement among the members."""
     return all(
-        any(pt.meet(m, x) == c.bottom and pt.join(m, x) == c.top for x in c.members)
+        any(pt.meet(m, x) == pt.bottom(c.host_n) and pt.join(m, x) == pt.top(c.host_n) for x in c.members)
         for m in c.members
     )
 

@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import os
@@ -432,6 +433,49 @@ def test_extremal_report_n6_verdicts():
     assert all(v == "holds" for v in verdicts.values())
 
 
+def edit_first(test, **values):
+    """The records with the first one that passes test updated by values."""
+
+    def edit(records):
+        i = next(i for i, r in enumerate(records) if test(r))
+        return records[:i] + [{**records[i], **values}] + records[i + 1:]
+
+    return edit
+
+
+def other(r):
+    """Neither a chain nor a glued B4 or N5 stack."""
+    return not (r["is_chain"] or r["glued_b4"] or r["glued_n5"])
+
+
+# (edit of the order-6 records, the verdicts that then fail); g_max(6) = 160,
+# g_sb(6) = 88, the chain has 2^5 = 32 congruences and a glued B4 2^4 = 16,
+# and the N5 stacks have ce 54 and 5 * 2 = 10
+RECORD_FAULTS = {
+    "a second chain": (lambda rs: rs + [{**next(r for r in rs if r["is_chain"]), "canon": "ff"}], {"thm_b"}),
+    "a chain below g_max": (edit_first(lambda r: r["is_chain"], ce=159), {"thm_b"}),
+    "no chain": (edit_first(lambda r: r["is_chain"], is_chain=False), {"thm_b", "thm_c", "manycon"}),
+    "a chain with one congruence fewer": (edit_first(lambda r: r["is_chain"], con_size=31), {"manycon"}),
+    "a glued B4 not recognised": (edit_first(lambda r: r["glued_b4"], glued_b4=False), {"thm_c", "manycon"}),
+    "a glued B4 with two antichain pairs": (edit_first(lambda r: r["glued_b4"], antichain_pairs=2), {"thm_c"}),
+    "a non-chain above g_sb": (edit_first(other, ce=89), {"thm_c"}),
+    "a non-chain at g_sb": (edit_first(other, ce=88), {"thm_c"}),
+    "a glued B4 below g_sb": (edit_first(lambda r: r["glued_b4"], ce=87), {"thm_c"}),
+    "a glued B4 with one more congruence": (edit_first(lambda r: r["glued_b4"], con_size=17), {"manycon"}),
+    "a non-chain with as many congruences as a glued B4": (edit_first(other, con_size=16), {"manycon"}),
+    "an N5 stack off in CE": (edit_first(lambda r: r["glued_n5"], ce=55), {"pentagon"}),
+    "an N5 stack off in |Con|": (edit_first(lambda r: r["glued_n5"], con_size=11), {"pentagon"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_FAULTS))
+def test_a_fault_in_one_record_fails_its_verdicts(case):
+    # each verdict is a test on each record, and the chain count
+    edit, failing = RECORD_FAULTS[case]
+    verdicts = em._report(6, edit(em.extremal_report(6)["records"]))["verdicts"]
+    assert {name for name, v in verdicts.items() if v != "holds"} == failing
+
+
 def test_report_records_consistent():
     rep = em.extremal_report(5)
     for r in rep["records"]:
@@ -721,6 +765,39 @@ def test_a_killed_worker_fails_the_enumeration(workers, count):
 
     with pytest.raises(RuntimeError, match="signal 9"):
         em._keyed_lattices(9, fold)
+    assert_no_child_left()
+
+
+def cannot_start():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_worker_that_cannot_start_exits_4_not_as_an_input_error(workers, monkeypatch, capsys, call):
+    # EAGAIN from os.fork or os.pipe is the host's failure: no process starts
+    workers(2)
+    monkeypatch.setattr(os, call, cannot_start)
+    assert cli.main(["enumerate", "--n", "9"]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal-error: RuntimeError" in captured.err
+    assert_no_child_left()
+
+
+def test_a_worker_that_cannot_start_stops_the_worker_started_before_it(workers, monkeypatch):
+    workers(3)
+    fork, started = os.fork, []
+
+    def fork_once():
+        if started:
+            cannot_start()
+        started.append(fork())
+        return started[-1]
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    with pytest.raises(RuntimeError, match="cannot start an enumeration worker"):
+        em._keyed_lattices(9, lambda key, lat: key)
+    assert len(started) == 1
     assert_no_child_left()
 
 
